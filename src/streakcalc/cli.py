@@ -13,11 +13,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from . import counts as counts_mod
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+
+# Most coin flips one command may simulate: about half an hour at the
+# simulator's roughly 25 ns per flip.
+SIMULATION_FLIP_CAP = 1 << 36
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -114,6 +118,7 @@ class OutputEnvelope:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> str:
+        """The envelope as ``json.dumps(payload, indent=2)`` writes it."""
         payload = {
             "command": self.command,
             "format_version": self.format_version,
@@ -122,18 +127,67 @@ class OutputEnvelope:
         }
         if self.notes:
             payload["notes"] = self.notes
-        return json.dumps(payload, indent=2) + "\n"
+        out: list[str] = []
+        _json_pieces(payload, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.rows:
-            writer = csv.DictWriter(
-                buf, fieldnames=list(self.rows[0]), lineterminator="\r\n"
-            )
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({key: _csv_cell(val) for key, val in row.items()})
-        return buf.getvalue()
+        """The rows as ``csv.DictWriter(..., lineterminator="\\r\\n")``
+        writes them, header first; nothing without rows."""
+        if not self.rows:
+            return ""
+        fields = list(self.rows[0])
+        lines = [_csv_line(fields)]
+        lines += [_csv_line([row.get(f) for f in fields]) for row in self.rows]
+        return "".join(lines)
+
+
+def _json_pieces(value, newline: str, out: list) -> None:
+    """Append the pieces of ``value`` in ``json.dumps(indent=2)`` layout;
+    ``newline`` is a line break followed by the current indentation."""
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [(json.dumps(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [("", item) for item in value]
+    else:
+        # Decimal cells hold integers and are written as bare digits, like int.
+        out.append(str(value) if type(value) in (int, Decimal) else json.dumps(value))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        out.append(sep + prefix)
+        _json_pieces(item, inner, out)
+        sep = "," + inner
+    out.append(newline + brackets[1])
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        # Only text can hold a delimiter, quote or line break; numbers
+        # are written unscanned.
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return str(value)
+
+
+def _csv_line(values: list) -> str:
+    """One CSV record with minimal quoting, as the csv module writes it."""
+    cells = [_csv_cell(v) for v in values]
+    if cells == [""]:
+        return '""\r\n'  # a lone empty field, quoted so the line is not blank
+    return ",".join(cells) + "\r\n"
 
 
 def _emit(command, parameters, rows, fmt, notes=None) -> None:
@@ -143,20 +197,19 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
     sys.stdout.write(envelope.to_csv() if fmt == "csv" else envelope.to_json())
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _exact(value: Fraction) -> str:
+    """``str(value)`` ("num/den", or an integer when den is 1), written
+    through ``Decimal``, which has no 4300-digit limit."""
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def _cmd_counts(args) -> int:
     spec = RunSpec(args.k)
     if args.n_max < 0:
         raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
-    table = counts_mod.build_count_table(spec, args.n_max)
-    rows = [{"n": n, "count": c} for n, c in enumerate(table.values)]
+    table = counts_mod.decimal_counts(spec, args.n_max)
+    rows = [{"n": n, "count": c} for n, c in enumerate(table)]
     _emit(
         "counts",
         {"k": args.k, "n_max": args.n_max, "format": args.format},
@@ -164,6 +217,27 @@ def _cmd_counts(args) -> int:
         args.format,
     )
     return EXIT_OK
+
+
+def _check_flip_budget(configs) -> None:
+    """Refuse, before any coin is drawn, simulations that would flip more
+    than ``SIMULATION_FLIP_CAP`` coins in all.
+
+    A trial flips min(max steps, X) coins, X the waiting time, whose mean
+    is E = (1 - p^k) / (q p^k); the work is estimated as trials times
+    min(max steps, ceil(E)).
+    """
+    flips = 0
+    for config in configs:
+        p, k = config.success_prob, config.k
+        mean = (1 - p**k) / ((1 - p) * p**k)
+        flips += config.trials * min(config.max_steps_per_trial, math.ceil(mean))
+    if flips > SIMULATION_FLIP_CAP:
+        raise CapacityError(
+            f"simulation needs about 2^{math.log2(flips):.0f} coin flips, over "
+            f"the budget of 2^{math.log2(SIMULATION_FLIP_CAP):.0f} "
+            f"(trials x min(max steps, mean trial length))"
+        )
 
 
 def _cmd_expect(args) -> int:
@@ -175,10 +249,20 @@ def _cmd_expect(args) -> int:
         )
     if args.n_max is not None and args.n_max < 1:
         raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
+    ks = range(args.k_min, args.k_max + 1)
+    sims = {}
+    if args.simulate:
+        sims = {
+            k: oracle.SimConfig(
+                k=k, success_prob=Fraction(1, 2), trials=args.trials, seed=args.seed
+            )
+            for k in ks
+        }
+        _check_flip_budget(sims.values())
     rows = []
     notes = []
     all_agree = True
-    for k in range(args.k_min, args.k_max + 1):
+    for k in ks:
         spec = RunSpec(k)
         horizon = args.n_max or distribution.DEFAULT_HORIZON_FACTOR * k
         closed = genfunc.expectation_closed_form(spec)
@@ -188,22 +272,14 @@ def _cmd_expect(args) -> int:
         all_agree = all_agree and agree
         row = {
             "k": k,
-            "closed_form": str(closed),
-            "half_derivative": str(derived),
+            "closed_form": _exact(closed),
+            "half_derivative": _exact(derived),
             "series_n_max": horizon,
-            "series_truncated": str(truncated),
+            "series_truncated": _exact(truncated),
             "exact_agreement": agree,
         }
         if args.simulate:
-            report = oracle.simulate(
-                oracle.SimConfig(
-                    k=k,
-                    success_prob=Fraction(1, 2),
-                    trials=args.trials,
-                    seed=args.seed,
-                )
-            )
-            row["monte_carlo_mean"] = report.sample_mean
+            row["monte_carlo_mean"] = oracle.simulate(sims[k]).sample_mean
         rows.append(row)
         if k == 2:
             notes.append(
@@ -237,6 +313,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps_per_trial=args.max_steps,
     )
+    _check_flip_budget([config])
     report = oracle.simulate(config)
     rows = [
         {
@@ -252,7 +329,7 @@ def _cmd_simulate(args) -> int:
         "simulate",
         {
             "k": args.k,
-            "p": str(config.success_prob),
+            "p": _exact(config.success_prob),
             "trials": args.trials,
             "seed": args.seed,
             "max_steps_per_trial": config.max_steps_per_trial,

@@ -10,14 +10,18 @@ obey the k-step Fibonacci recurrence
 
 (classify each qualifying sequence by the position of its first tail).
 Counts grow geometrically with ratio approaching 2, so everything here
-is arbitrary-precision integer arithmetic; a 64-bit table would
-overflow near n = 70.
+is exact arbitrary-precision arithmetic, on ``int`` or on ``Decimal``;
+a 64-bit table would overflow near n = 70.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+    InvalidOperation, Overflow, Rounded, localcontext,
+)
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError
@@ -75,14 +79,12 @@ class CountTable:
         return len(self.values) - 1
 
 
-def build_count_table(spec: RunSpec, n_max: int) -> CountTable:
-    """Build the count table for indices 0..n_max in one forward pass.
+def _window(k: int, n_max: int, num: type) -> list:
+    """Counts c(0..n_max) as ``num`` values, in one forward pass.
 
     Maintains a sliding window sum of the last ``k`` entries, so each
-    entry costs O(1) bigint additions regardless of ``k``.
-
-    Raises :class:`CapacityError` when the table would exceed the
-    configured capacity (default 100 000 entries).
+    entry costs O(1) additions regardless of ``k``.  Both number types
+    share this loop and its size check.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -92,16 +94,41 @@ def build_count_table(spec: RunSpec, n_max: int) -> CountTable:
             f"table of {n_max + 1} entries exceeds cap of {cap} "
             f"(override with {TABLE_CAP_ENV})"
         )
-    k = spec.k
-    vals = [0] * (n_max + 1)
+    vals = [num(0)] * (n_max + 1)
     if n_max >= k:
-        vals[k] = 1
+        vals[k] = num(1)
         # window holds vals[n-1] + ... + vals[n-k] for the next n.
-        window = 1
+        window = num(1)
         for n in range(k + 1, n_max + 1):
             vals[n] = window
             window += vals[n] - vals[n - k]
-    return CountTable(k=k, values=tuple(vals))
+    return vals
+
+
+def build_count_table(spec: RunSpec, n_max: int) -> CountTable:
+    """Build the count table for indices 0..n_max in one forward pass.
+
+    Raises :class:`CapacityError` when the table would exceed the
+    configured capacity (default 100 000 entries).
+    """
+    return CountTable(k=spec.k, values=tuple(_window(spec.k, n_max, int)))
+
+
+def decimal_counts(spec: RunSpec, n_max: int) -> list[Decimal]:
+    """The counts of :func:`build_count_table` as exact ``Decimal`` values.
+
+    For writing tables out: ``str`` of a ``Decimal`` is linear in its
+    digits and has no digit limit, where ``str`` of an ``int`` is
+    quadratic and refuses more than 4300 digits.  The local context has
+    unbounded precision and traps ``Inexact`` and ``Rounded``, so every
+    addition is exact or raises.  Same errors as :func:`build_count_table`.
+    """
+    exact = Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+        traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+    )
+    with localcontext(exact):
+        return _window(spec.k, n_max, Decimal)
 
 
 def count_at(spec: RunSpec, n: int) -> int:

@@ -1,9 +1,11 @@
 """Tests for the command-line surface: formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
+from streakcalc import oracle
 from streakcalc.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -168,6 +170,57 @@ def test_simulate_csv_format(capsys):
         "seed,rng_algorithm"
     )
     assert lines[1].endswith("numpy-pcg64")
+
+
+class CoinsDrawn(Exception):
+    pass
+
+
+def _draw(config):
+    raise CoinsDrawn(config)
+
+
+@pytest.mark.parametrize(
+    "argv", ["simulate --k 40 --trials 1", "expect --k-min 40 --k-max 40 --simulate"]
+)
+def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv):
+    """Without the budget these would flip about 2^41 coins per trial."""
+    monkeypatch.setattr(oracle, "simulate", _draw)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.startswith("streakcalc: capacity error: ")
+    assert err.count("\n") == 1 and "2^36" in err
+
+
+@pytest.mark.parametrize(
+    "argv, most_trials",
+    [
+        # 2 flips per trial on average
+        ("simulate --k 1", 2**35),
+        # (1 - p^k) / (q p^k) = 12 flips per trial
+        ("simulate --k 2 --p 1/3", 2**36 // 12),
+        # the step cap, not the mean 2(2^40 - 1), bounds each trial
+        ("simulate --k 40 --max-steps 1024", 2**26),
+        # expect sums over its run lengths: 2 + 6 flips per trial
+        ("expect --k-min 1 --k-max 2 --simulate", 2**33),
+    ],
+)
+def test_simulation_budget_boundary(capsys, monkeypatch, argv, most_trials):
+    monkeypatch.setattr(oracle, "simulate", _draw)
+    with pytest.raises(CoinsDrawn):
+        main([*argv.split(), "--trials", str(most_trials)])
+    code, _, _ = run_cli(capsys, *argv.split(), "--trials", str(most_trials + 1))
+    assert code == EXIT_CAPACITY
+
+
+def test_simulation_bounded_by_step_cap_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--k", "40", "--trials", "1", "--max-steps", "1000"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["truncated_trials"] == 1
 
 
 def test_verify_passes_and_names_checks(capsys):

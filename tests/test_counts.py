@@ -1,5 +1,6 @@
 """Tests for the exact count tables."""
 
+from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from streakcalc.counts import (
     TABLE_CAP_ENV,
     build_count_table,
     count_at,
+    decimal_counts,
     ratio_diagnostic,
     table_cap,
 )
@@ -168,3 +170,31 @@ def test_table_is_immutable():
     with pytest.raises(AttributeError):
         table.k = 3
     assert isinstance(table.values, tuple)
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 64])
+def test_decimal_counts_equal_int_table(k):
+    """The Decimal table the CLI writes equals the int table, exactly, and
+    its integers have exponent 0, so they print as bare digits."""
+    context = getcontext().copy()
+    for n_max in (0, k - 1, k, 3000):
+        table = decimal_counts(RunSpec(k), n_max)
+        assert table == [Decimal(v) for v in build_count_table(RunSpec(k), n_max).values]
+        assert {d.as_tuple().exponent for d in table} == {0}
+    # the exact context was local
+    assert repr(getcontext()) == repr(context)
+
+
+@pytest.mark.parametrize(
+    "n_max, cap", [(-1, None), (DEFAULT_TABLE_CAP, None), (50, "50"), (5, "not-a-number")]
+)
+def test_decimal_counts_raise_as_int_table(monkeypatch, n_max, cap):
+    monkeypatch.delenv(TABLE_CAP_ENV, raising=False)
+    if cap is not None:
+        monkeypatch.setenv(TABLE_CAP_ENV, cap)
+    errors = []
+    for build in (build_count_table, decimal_counts):
+        with pytest.raises((CapacityError, DomainError)) as info:
+            build(RunSpec(2), n_max)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]

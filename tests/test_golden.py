@@ -1,0 +1,151 @@
+"""Golden outputs of the command line.
+
+Each deterministic command's stdout is pinned by its sha256, with its
+exit code and stderr, as the command wrote them before the table writer
+and the count tables were reimplemented; any refactor must keep these
+bytes.  Usage messages depend on the terminal width, which is fixed at
+80 columns here.
+
+The two digit-limit probes at the end wrote nothing but a traceback
+before, so they have no golden bytes: their values are checked against
+``build_count_table`` and ``truncated_expectation`` instead.
+"""
+
+import hashlib
+import json
+from decimal import Decimal
+
+import pytest
+
+from streakcalc.cli import main
+from streakcalc.counts import RunSpec, build_count_table
+from streakcalc.distribution import truncated_expectation
+
+# argv, sha256 of stdout; exit code 0 and an empty stderr.
+GOLDEN_OUTPUT = [
+    ("counts --k 3 --n-max 12",
+     "154fefe6e58c6a0ca46bac95b45d3be30ddb728ce08a9d9c1743cd0828f87a8c"),
+    ("counts --k 3 --n-max 12 --format csv",
+     "66c39241773df3c120c85dc0a48de5cdec4e1a5217d6e24687b8ad555a310db3"),
+    ("counts --k 1 --n-max 0",
+     "78ee43210a0b9d477a3a27a9c199a9178ca7b86678a655d173c819d12efa4314"),
+    ("counts --k 1 --n-max 0 --format csv",
+     "b2c37b04e0690f8b9f1064801e7a12d758866dde173259b48ea61bdb3dfebcc3"),
+    ("counts --k 64 --n-max 300 --format csv",
+     "58f039713eb84f31b5f6826276b70e2a1fd3bef26973ab642bf5f4e32a247b59"),
+    ("expect --k-min 1 --k-max 5",
+     "616b9c712cabe73d955405eb8a0a80f70a11270076066367048409235dbab022"),
+    ("expect --k-min 1 --k-max 5 --format csv",
+     "83d5b88149fabaa7883fffc57e7c5e397af83ad79ff5eaa0edf31bfa30d609cc"),
+    ("expect --k-min 3 --k-max 4 --n-max 300",
+     "3c5411ecb3c1f808345c292635c71f62ca94c953418ff6fbb4f5a7b3c1680dec"),
+    ("expect --k-min 1 --k-max 3 --simulate --trials 2000 --seed 7",
+     "68aaf0f2dbef2cdfd77545f79c9a2e490f103d4b281fd2e903a86e416cf200cb"),
+    ("expect --k-min 1 --k-max 3 --simulate --trials 2000 --seed 7 --format csv",
+     "33b25f06ebdefaf36e940d206ebc84b4606567046df7c4d12cb7212259b56538"),
+    ("simulate --k 3 --trials 5000 --seed 11",
+     "3c423c97b1942c5ef7ecc4bc97344c652af10849c20f241c610ae5831a1a3132"),
+    ("simulate --k 3 --trials 5000 --seed 11 --format csv",
+     "6565ab70ea2f2ba190366734db2be6b853ef7eceb5c0e0b8e4171ef95fc1bca1"),
+    ("simulate --k 2 --p 1/3 --trials 3000 --seed 5",
+     "411fccbf28a731631a0c741d479c396f384ca59946a65a62114c458d9693a29a"),
+    ("simulate --k 3 --p 0.25 --trials 500 --seed 2 --max-steps 4 --format csv",
+     "d71fa50c77be8f5706d748c8e1b81a9061e8f0823e817dba934d36c2377b1806"),
+    ("verify --k-max 4",
+     "b7fbb7c42861f83b0e92731ac247182d299952f600c704f5b31a6ef14198246e"),
+    ("verify --k-max 4 --format csv",
+     "210676af994cc412d8c6397af292665ffcaf2fa9c12f23fd933b560877d81011"),
+    # table-sized dumps: 21 MB of JSON and 22 MB of CSV
+    ("counts --k 2 --n-max 14000",
+     "a7ff740ce32d6dc80e88809d04d66b67478ca4d13b9356d286348525487b4c46"),
+    ("counts --k 3 --n-max 13000 --format csv",
+     "e87bcdf7f450eadd2d4f441cb1042459d0909c8254b0091353854e8eb70fcf90"),
+]
+
+# argv, exit code, stderr; stdout is empty.
+GOLDEN_ERRORS = [
+    ("counts --k 0 --n-max 3", 2, "streakcalc: run length must be >= 1, got 0\n"),
+    ("counts --k 2 --n-max -1", 2, "streakcalc: --n-max must be >= 0, got -1\n"),
+    ("counts --n-max 3", 2,
+     "usage: streakcalc counts [-h] --k K --n-max N_MAX [--format {json,csv}]\n"
+     "streakcalc counts: error: the following arguments are required: --k\n"),
+    ("counts --k 2 --n-max 3 --format xml", 2,
+     "usage: streakcalc counts [-h] --k K --n-max N_MAX [--format {json,csv}]\n"
+     "streakcalc counts: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'json', 'csv')\n"),
+    ("frobnicate", 2,
+     "usage: streakcalc [-h] {counts,expect,simulate,verify} ...\n"
+     "streakcalc: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'counts', 'expect', 'simulate', 'verify')\n"),
+    ("expect --k-min 2 --k-max 1", 2,
+     "streakcalc: empty range: --k-min 2 exceeds --k-max 1\n"),
+    ("expect --k-min 1 --k-max 2 --n-max 0", 2,
+     "streakcalc: --n-max must be >= 1, got 0\n"),
+    ("expect --k-min 1 --k-max 2 --simulate --trials 0", 2,
+     "streakcalc: trials must be >= 1, got 0\n"),
+    ("simulate --k 1 --p 1.5 --trials 10", 2,
+     "streakcalc: success probability must lie in (0, 1), got 3/2\n"),
+    ("simulate --k 1 --p zebra --trials 10", 2,
+     "usage: streakcalc simulate [-h] --k K [--p P] [--trials TRIALS] [--seed SEED]\n"
+     "                           [--max-steps MAX_STEPS] [--format {json,csv}]\n"
+     "streakcalc simulate: error: argument --p: not a rational number: 'zebra'\n"),
+    ("simulate --k 3 --trials 10 --max-steps 2", 2,
+     "streakcalc: max_steps_per_trial must be >= k, got 2\n"),
+    ("verify --k-max 0", 2, "streakcalc: --k-max must be >= 1, got 0\n"),
+    ("counts --k 2 --n-max 200000", 3,
+     "streakcalc: capacity error: table of 200001 entries exceeds cap of 100000 "
+     "(override with STREAKCALC_TABLE_CAP)\n"),
+]
+
+
+@pytest.fixture
+def run(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("STREAKCALC_TABLE_CAP", raising=False)
+
+    def run(argv: str):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
+
+
+@pytest.mark.parametrize("argv, sha256", GOLDEN_OUTPUT, ids=[a for a, _ in GOLDEN_OUTPUT])
+def test_golden_output(run, argv, sha256):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr", GOLDEN_ERRORS, ids=[a for a, _, _ in GOLDEN_ERRORS]
+)
+def test_golden_error(run, argv, code, stderr):
+    assert run(argv) == (code, "", stderr)
+
+
+def test_counts_beyond_the_digit_limit(run):
+    """54 MB of counts, the last ones 5300 digits long; every seventh row
+    and the last row are compared with the integer table."""
+    code, out, err = run("counts --k 3 --n-max 20000")
+    assert (code, err) == (0, "")
+    assert 53e6 < len(out.encode()) < 55e6
+    rows = json.loads(out, parse_int=Decimal)["rows"]
+    assert [row["n"] for row in rows] == list(range(20001))
+    values = build_count_table(RunSpec(3), 20000).values
+    assert len(str(rows[-1]["count"])) > 5000
+    for n in [*range(0, 20001, 7), 20000]:
+        assert rows[n]["count"] == Decimal(values[n]), n
+
+
+def test_expect_beyond_the_digit_limit(run):
+    code, out, err = run("expect --k-min 1 --k-max 1 --n-max 20000")
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    assert (row["closed_form"], row["half_derivative"]) == ("2", "2")
+    num, den = row["series_truncated"].split("/")
+    want = truncated_expectation(RunSpec(1), 20000)
+    assert len(den) > 4300
+    assert Decimal(num) == Decimal(want.numerator)
+    assert Decimal(den) == Decimal(want.denominator)
