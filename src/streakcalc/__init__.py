@@ -14,11 +14,10 @@ run of ``k`` consecutive heads:
   enumeration and a seeded Monte Carlo simulator.
 * :mod:`streakcalc.cli` - the ``streakcalc`` command.
 
-All probability arithmetic uses :class:`fractions.Fraction`, re-exported
-here as ``ExactRational``.
+All probability arithmetic uses :class:`fractions.Fraction`.  The
+oracle names load :mod:`streakcalc.oracle`, and with it numpy, on first
+use, so the exact layer imports no numpy.
 """
-
-from fractions import Fraction as ExactRational
 
 from .counts import (
     CountTable,
@@ -37,23 +36,12 @@ from .distribution import (
 )
 from .errors import CapacityError, DomainError, SingularityError, StreakError
 from .genfunc import (
-    GenFuncEval,
     eval_y,
     eval_y_prime,
     eval_y_prime_quotient_rule,
-    evaluate,
     expectation,
     expectation_closed_form,
     series_matches_closed_form,
-)
-from .oracle import (
-    SimConfig,
-    SimReport,
-    enumerate_counts,
-    enumerate_first_run_histogram,
-    enumerate_truncated_expectation,
-    first_run_index,
-    simulate,
 )
 
 __version__ = "0.1.0"
@@ -62,8 +50,6 @@ __all__ = [
     "CapacityError",
     "CountTable",
     "DomainError",
-    "ExactRational",
-    "GenFuncEval",
     "K_MAX",
     "PmfRow",
     "RunSpec",
@@ -79,7 +65,6 @@ __all__ = [
     "eval_y",
     "eval_y_prime",
     "eval_y_prime_quotient_rule",
-    "evaluate",
     "expectation",
     "expectation_closed_form",
     "first_run_index",
@@ -91,3 +76,12 @@ __all__ = [
     "tail_mass",
     "truncated_expectation",
 ]
+
+
+def __getattr__(name: str):
+    # The names of __all__ not bound above are the oracle's (PEP 562).
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

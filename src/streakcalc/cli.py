@@ -36,6 +36,11 @@ EXIT_CAPACITY = 3
 # simulator's roughly 25 ns per flip.
 SIMULATION_FLIP_CAP = 1 << 36
 
+# Most passes one command may make, each pass flipping one coin for
+# every live trial of a block: about 21 minutes at roughly 19 us per
+# pass, which is what a pass costs when few trials are left alive.
+SIMULATION_PASS_CAP = 1 << 26
+
 
 def _fraction_arg(text: str) -> Fraction:
     try:
@@ -114,14 +119,13 @@ class OutputEnvelope:
     command: str
     parameters: dict
     rows: list
-    format_version: str = FORMAT_VERSION
     notes: list = field(default_factory=list)
 
     def to_json(self) -> str:
         """The envelope as ``json.dumps(payload, indent=2)`` writes it."""
         payload = {
             "command": self.command,
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "parameters": self.parameters,
             "rows": self.rows,
         }
@@ -219,25 +223,34 @@ def _cmd_counts(args) -> int:
     return EXIT_OK
 
 
-def _check_flip_budget(configs) -> None:
+def _check_simulation_budget(configs) -> None:
     """Refuse, before any coin is drawn, simulations that would flip more
-    than ``SIMULATION_FLIP_CAP`` coins in all.
+    than ``SIMULATION_FLIP_CAP`` coins or make more than
+    ``SIMULATION_PASS_CAP`` passes in all.
 
     A trial flips min(max steps, X) coins, X the waiting time, whose mean
-    is E = (1 - p^k) / (q p^k); the work is estimated as trials times
-    min(max steps, ceil(E)).
+    is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
+    flips are estimated as trials times L, and the passes, each flipping
+    one coin for every live trial of a block, as blocks times L.
     """
     flips = 0
+    passes = 0
     for config in configs:
         p, k = config.success_prob, config.k
         mean = (1 - p**k) / ((1 - p) * p**k)
-        flips += config.trials * min(config.max_steps_per_trial, math.ceil(mean))
-    if flips > SIMULATION_FLIP_CAP:
-        raise CapacityError(
-            f"simulation needs about 2^{math.log2(flips):.0f} coin flips, over "
-            f"the budget of 2^{math.log2(SIMULATION_FLIP_CAP):.0f} "
-            f"(trials x min(max steps, mean trial length))"
-        )
+        length = min(config.max_steps_per_trial, math.ceil(mean))
+        flips += config.trials * length
+        passes += -(-config.trials // oracle.PARTITION_SIZE) * length
+    for need, cap, what, per in (
+        (flips, SIMULATION_FLIP_CAP, "coin flips", "trials"),
+        (passes, SIMULATION_PASS_CAP, "passes", "trial blocks"),
+    ):
+        if need > cap:
+            raise CapacityError(
+                f"simulation needs about 2^{math.log2(need):.0f} {what}, over "
+                f"the budget of 2^{math.log2(cap):.0f} "
+                f"({per} x min(max steps, mean trial length))"
+            )
 
 
 def _cmd_expect(args) -> int:
@@ -258,7 +271,7 @@ def _cmd_expect(args) -> int:
             )
             for k in ks
         }
-        _check_flip_budget(sims.values())
+        _check_simulation_budget(sims.values())
     rows = []
     notes = []
     all_agree = True
@@ -313,7 +326,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps_per_trial=args.max_steps,
     )
-    _check_flip_budget([config])
+    _check_simulation_budget([config])
     report = oracle.simulate(config)
     rows = [
         {

@@ -20,7 +20,6 @@ is exact rational; comparisons between routes are exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import RunSpec, build_count_table
@@ -36,48 +35,28 @@ def _as_fraction(r: Rational) -> Fraction:
         raise DomainError(f"not an exact rational: {r!r}")
 
 
-def _check_open_unit_interval(r: Fraction) -> None:
-    if not 0 < r < 1:
-        raise DomainError(f"r must lie strictly inside (0, 1), got {r}")
-
-
 def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
     """The shared denominator 1 - 2r + r**(k+1), exactly."""
     r = _as_fraction(r)
     return 1 - 2 * r + r ** (spec.k + 1)
 
 
-@dataclass(frozen=True)
-class GenFuncEval:
-    """Bundle of y, y' and the denominator at one evaluation point."""
-
-    k: int
-    r: Fraction
-    y: Fraction
-    y_prime: Fraction
-    denominator_core: Fraction
-
-    def __post_init__(self) -> None:
-        if self.denominator_core == 0:
-            raise SingularityError(
-                f"denominator 1 - 2r + r**{self.k + 1} is zero at r = {self.r}"
-            )
-        expected = self.r**self.k * (1 - self.r) / self.denominator_core
-        if self.y != expected:
-            raise DomainError(
-                f"inconsistent record: y = {self.y} but closed form gives {expected}"
-            )
-
-
-def eval_y(spec: RunSpec, r: Rational) -> Fraction:
-    """Closed form of the counting series at r in (0, 1)."""
+def _point(spec: RunSpec, r: Rational) -> tuple[Fraction, Fraction]:
+    """r as an exact rational in (0, 1), and the denominator there."""
     r = _as_fraction(r)
-    _check_open_unit_interval(r)
+    if not 0 < r < 1:
+        raise DomainError(f"r must lie strictly inside (0, 1), got {r}")
     denom = denominator_core(spec, r)
     if denom == 0:
         raise SingularityError(
             f"denominator 1 - 2r + r**{spec.k + 1} is zero at r = {r}"
         )
+    return r, denom
+
+
+def eval_y(spec: RunSpec, r: Rational) -> Fraction:
+    """Closed form of the counting series at r in (0, 1)."""
+    r, denom = _point(spec, r)
     return r**spec.k * (1 - r) / denom
 
 
@@ -87,14 +66,8 @@ def eval_y_prime(spec: RunSpec, r: Rational) -> Fraction:
         y'(r) = r**(k-1) (-r**(k+1) + 2k r**2 - 3k r + k + r)
                 / (1 - 2r + r**(k+1))**2
     """
-    r = _as_fraction(r)
-    _check_open_unit_interval(r)
+    r, denom = _point(spec, r)
     k = spec.k
-    denom = denominator_core(spec, r)
-    if denom == 0:
-        raise SingularityError(
-            f"denominator 1 - 2r + r**{k + 1} is zero at r = {r}"
-        )
     poly = -(r ** (k + 1)) + 2 * k * r**2 - 3 * k * r + k + r
     return r ** (k - 1) * poly / denom**2
 
@@ -108,30 +81,12 @@ def eval_y_prime_quotient_rule(spec: RunSpec, r: Rational) -> Fraction:
         y' = (N' D - N D') / D**2,
         N' = k r**(k-1) (1-r) - r**k,   D' = -2 + (k+1) r**k.
     """
-    r = _as_fraction(r)
-    _check_open_unit_interval(r)
+    r, d = _point(spec, r)
     k = spec.k
-    d = denominator_core(spec, r)
-    if d == 0:
-        raise SingularityError(
-            f"denominator 1 - 2r + r**{k + 1} is zero at r = {r}"
-        )
     n = r**k * (1 - r)
     n_prime = k * r ** (k - 1) * (1 - r) - r**k
     d_prime = -2 + (k + 1) * r**k
     return (n_prime * d - n * d_prime) / d**2
-
-
-def evaluate(spec: RunSpec, r: Rational) -> GenFuncEval:
-    """Evaluate y, y' and the denominator at one point, self-checked."""
-    r = _as_fraction(r)
-    return GenFuncEval(
-        k=spec.k,
-        r=r,
-        y=eval_y(spec, r),
-        y_prime=eval_y_prime(spec, r),
-        denominator_core=denominator_core(spec, r),
-    )
 
 
 def expectation(spec: RunSpec) -> Fraction:
@@ -166,8 +121,11 @@ def series_matches_closed_form(
             f"n_max must be >= the run length, got n_max={n_max} with k={spec.k}"
         )
     values = build_count_table(spec, n_max).values
-    partial = Fraction(0)
-    for i in range(n_max, spec.k - 1, -1):  # Horner, highest power first
-        partial = partial * r + values[i]
-    partial *= r**spec.k
-    return abs(partial - eval_y(spec, r))
+    # With r = a/b, acc ends as sum_i c(i) a**(i-k) b**(n_max-i): the
+    # partial sum times b**n_max / a**k, built in integers alone.
+    a, b = r.numerator, r.denominator
+    acc, power = 0, 1
+    for i in range(spec.k, n_max + 1):
+        acc = acc * b + values[i] * power
+        power *= a
+    return abs(Fraction(acc * a**spec.k, b**n_max) - eval_y(spec, r))

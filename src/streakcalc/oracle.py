@@ -12,6 +12,7 @@ Sequence encoding for enumeration: integers ``0 .. 2**n - 1`` with bit
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,7 +145,9 @@ class SimConfig:
 
     ``success_prob`` other than 1/2 is exploratory only: the exact
     distribution modules cover just the fair coin.  The default step
-    cap is 1000 * 2**k, far beyond any plausible completion, so
+    cap is 1000 * ceil(p**-k), 1000 * 2**k for the fair coin.  The mean
+    waiting time (1 - p**k) / (q p**k) is below p**-k / q, so unless q
+    is tiny the cap lies far beyond any plausible completion, and
     truncation is a reportable anomaly rather than a silent bias.
     """
 
@@ -169,7 +172,8 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
         if self.max_steps_per_trial is None:
-            object.__setattr__(self, "max_steps_per_trial", 1000 * 2**self.k)
+            cap = 1000 * math.ceil(1 / self.success_prob**self.k)
+            object.__setattr__(self, "max_steps_per_trial", cap)
         if self.max_steps_per_trial < self.k:
             raise DomainError(
                 f"max_steps_per_trial must be >= k, got {self.max_steps_per_trial}"

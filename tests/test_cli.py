@@ -195,6 +195,37 @@ def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --k 30 --trials 1",
+        "expect --k-min 30 --k-max 30 --simulate --trials 1",
+    ],
+)
+def test_simulation_over_pass_budget_refused_before_drawing(capsys, monkeypatch, argv):
+    """About 2^31 flips fit the flip budget, but one trial alone would
+    take about 2^31 passes over a single live trial."""
+    monkeypatch.setattr(oracle, "simulate", _draw)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.startswith("streakcalc: capacity error: ")
+    assert err.count("\n") == 1 and "passes" in err and "2^26" in err
+
+
+def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
+    """With a cap of 1000 * 2^k every trial at p = 1/1000 was truncated
+    and the run reported a mean of 0.0; the cap 1000 * 1000^3 lets the
+    flip budget see the run's real size."""
+    monkeypatch.setattr(oracle, "simulate", _draw)
+    code, out, err = run_cli(
+        capsys, "simulate", "--k", "3", "--p", "1/1000", "--trials", "1000"
+    )
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.count("\n") == 1 and "coin flips" in err
+
+
+@pytest.mark.parametrize(
     "argv, most_trials",
     [
         # 2 flips per trial on average

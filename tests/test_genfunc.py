@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from streakcalc.counts import RunSpec
+from streakcalc.counts import RunSpec, build_count_table
 from streakcalc.distribution import tail_mass
-from streakcalc.errors import DomainError, SingularityError
+from streakcalc.errors import DomainError
 from streakcalc.genfunc import (
-    GenFuncEval,
     denominator_core,
     eval_y,
     eval_y_prime,
     eval_y_prime_quotient_rule,
-    evaluate,
     expectation,
     expectation_closed_form,
     series_matches_closed_form,
@@ -105,8 +103,6 @@ def test_termwise_derivative_series_climbs_to_y_prime(k):
     toward y'(1/2) while staying below it."""
     spec = RunSpec(k)
     limit = eval_y_prime(spec, HALF)
-    from streakcalc.counts import build_count_table
-
     values = build_count_table(spec, 120).values
     partial = Fraction(0)
     previous = Fraction(-1)
@@ -156,6 +152,22 @@ def test_series_gap_frozen_value_k2():
     assert Fraction(1, 10**6) < gap < Fraction(2, 10**6)
 
 
+@pytest.mark.parametrize(
+    "r", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(7, 19)]
+)
+def test_series_gap_equals_fraction_sum_off_the_fair_coin(r):
+    """Away from r = 1/2 the gap is not a tail mass; check it exactly
+    against the partial series summed term by term in Fractions."""
+    for k in (1, 3, 5):
+        spec = RunSpec(k)
+        values = build_count_table(spec, 90).values
+        for n_max in (k, k + 1, 2 * k + 3, 40, 90):
+            partial = sum(values[i] * r**i for i in range(k, n_max + 1))
+            assert series_matches_closed_form(spec, r, n_max) == abs(
+                partial - eval_y(spec, r)
+            ), (k, r, n_max)
+
+
 def test_series_gap_below_quarter_point():
     gap = series_matches_closed_form(RunSpec(3), Fraction(1, 4), 40)
     assert gap < Fraction(1, 10**12)
@@ -185,35 +197,3 @@ def test_denominator_never_vanishes_at_rational_points():
     for k in range(1, 11):
         for j in range(1, 40):
             assert denominator_core(RunSpec(k), Fraction(j, 40)) != 0
-
-
-def test_evaluate_bundles_consistently():
-    spec = RunSpec(3)
-    r = Fraction(2, 7)
-    record = evaluate(spec, r)
-    assert record.y == eval_y(spec, r)
-    assert record.y_prime == eval_y_prime(spec, r)
-    assert record.denominator_core == denominator_core(spec, r)
-    assert record.k == 3
-
-
-def test_record_rejects_zero_denominator():
-    with pytest.raises(SingularityError):
-        GenFuncEval(
-            k=2,
-            r=HALF,
-            y=Fraction(1),
-            y_prime=Fraction(12),
-            denominator_core=Fraction(0),
-        )
-
-
-def test_record_rejects_inconsistent_y():
-    with pytest.raises(DomainError):
-        GenFuncEval(
-            k=2,
-            r=HALF,
-            y=Fraction(2),
-            y_prime=Fraction(12),
-            denominator_core=Fraction(1, 8),
-        )

@@ -47,8 +47,9 @@ GOLDEN_OUTPUT = [
      "3c423c97b1942c5ef7ecc4bc97344c652af10849c20f241c610ae5831a1a3132"),
     ("simulate --k 3 --trials 5000 --seed 11 --format csv",
      "6565ab70ea2f2ba190366734db2be6b853ef7eceb5c0e0b8e4171ef95fc1bca1"),
+    # the default step cap follows p: max_steps_per_trial 1000 * 3^2
     ("simulate --k 2 --p 1/3 --trials 3000 --seed 5",
-     "411fccbf28a731631a0c741d479c396f384ca59946a65a62114c458d9693a29a"),
+     "84e200e07fe5778eb631bcbd76e83f136149163ddf37e107b291c9aafdf67f54"),
     ("simulate --k 3 --p 0.25 --trials 500 --seed 2 --max-steps 4 --format csv",
      "d71fa50c77be8f5706d748c8e1b81a9061e8f0823e817dba934d36c2377b1806"),
     ("verify --k-max 4",

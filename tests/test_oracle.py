@@ -153,6 +153,9 @@ def test_sim_config_defaults_step_cap():
     config = SimConfig(k=3, success_prob=HALF, trials=10, seed=1)
     assert config.max_steps_per_trial == 1000 * 2**3
     assert config.success_prob == HALF
+    # the cap follows p: 1000 * ceil(3**3), not the fair coin's 1000 * 2**3
+    config = SimConfig(k=3, success_prob=Fraction(1, 3), trials=10, seed=1)
+    assert config.max_steps_per_trial == 1000 * 27
 
 
 def test_simulate_is_deterministic():

@@ -15,7 +15,7 @@ from decimal import Decimal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from streakcalc.cli import OutputEnvelope
+from streakcalc.cli import FORMAT_VERSION, OutputEnvelope
 
 TEXT = st.text(st.sampled_from('ab ,"\r\n\t\\é\x00 '), max_size=6) | st.text(max_size=6)
 CELLS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
@@ -40,7 +40,7 @@ def envelopes(draw):
 def reference_json(env: OutputEnvelope) -> str:
     payload = {
         "command": env.command,
-        "format_version": env.format_version,
+        "format_version": FORMAT_VERSION,
         "parameters": env.parameters,
         "rows": env.rows,
     }
