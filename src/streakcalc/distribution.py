@@ -14,12 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .counts import RunSpec, build_count_table
+from .counts import (
+    RunSpec, _jump_count, _jump_partial_sum, build_count_table, count_at,
+)
 from .errors import DomainError
 
 # CLI default truncation horizon, as a multiple of the run length.
 DEFAULT_HORIZON_FACTOR = 64
+
+# Builds a Fraction from a numerator and denominator already in lowest
+# terms, without Fraction's gcd: a private constructor, whose spelling
+# changed in Python 3.12.
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(
+    Fraction, _normalize=False
+)
+
+
+def _dyadic(num: int, n: int) -> Fraction:
+    """num / 2**n in lowest terms, for num >= 0, reduced by the trailing
+    zeros of num rather than by a gcd."""
+    shift = min(n, (num & -num).bit_length() - 1) if num else n
+    return _coprime(num >> shift, 1 << (n - shift))
 
 
 @dataclass(frozen=True)
@@ -36,7 +53,7 @@ def pmf(spec: RunSpec, n: int) -> Fraction:
     """P(X = n), reduced. Zero for n below the run length."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return Fraction(build_count_table(spec, n).values[n], 1 << n)
+    return _dyadic(count_at(spec, n), n)
 
 
 def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
@@ -58,8 +75,8 @@ def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
             PmfRow(
                 n=n,
                 count=values[n],
-                mass=Fraction(values[n], 1 << n),
-                cumulative=Fraction(cum_scaled, 1 << n),
+                mass=_dyadic(values[n], n),
+                cumulative=_dyadic(cum_scaled, n),
             )
         )
     return rows
@@ -69,23 +86,35 @@ def truncated_expectation(spec: RunSpec, n_max: int) -> Fraction:
     """Exact partial sum of n * P(X = n) for n = 1..n_max.
 
     Monotone non-decreasing in n_max and strictly below the full
-    expectation 2 (2**k - 1) for every finite horizon.
+    expectation 2 (2**k - 1) for every finite horizon.  A far horizon
+    jumps the scaled sum's own recurrence; it is still the series.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    values = build_count_table(spec, n_max).values
-    acc = 0  # sum of i * c(i) * 2**(n-i), built by doubling
-    for n in range(1, n_max + 1):
-        acc = 2 * acc + n * values[n]
-    return Fraction(acc, 1 << n_max)
+    acc = _jump_partial_sum(spec.k, n_max)
+    if acc is None:
+        values = build_count_table(spec, n_max).values
+        acc = 0  # sum of i * c(i) * 2**(n-i), built by doubling
+        for n in range(1, n_max + 1):
+            acc = 2 * acc + n * values[n]
+    return _dyadic(acc, n_max)
 
 
 def tail_mass(spec: RunSpec, n_max: int) -> Fraction:
-    """Exact P(X > n_max); strictly positive, strictly decreasing for n_max >= k."""
+    """Exact P(X > n_max); strictly positive, strictly decreasing for n_max >= k.
+
+    A run-free sequence of n_max trials, then a tail and k heads, first
+    completes a run at n_max + k + 1, so a far horizon reads P(X > n_max)
+    = c(n_max + k + 1) / 2**n_max off one jumped term.  The capacity check
+    is that of a table up to n_max either way.
+    """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    far = _jump_count(spec.k, n_max + spec.k + 1, n_max)
+    if far is not None:
+        return _dyadic(far, n_max)
     values = build_count_table(spec, n_max).values
     cum_scaled = 0
     for n in range(1, n_max + 1):
         cum_scaled = 2 * cum_scaled + values[n]
-    return Fraction((1 << n_max) - cum_scaled, 1 << n_max)
+    return _dyadic((1 << n_max) - cum_scaled, n_max)

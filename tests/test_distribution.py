@@ -6,6 +6,7 @@ import pytest
 
 from streakcalc.counts import RunSpec
 from streakcalc.distribution import (
+    _dyadic,
     pmf,
     pmf_table,
     tail_mass,
@@ -80,6 +81,19 @@ def test_pmf_table_row_consistency(k):
         running += row.mass
         assert row.cumulative == running
     assert rows[-1].cumulative < 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 3000])
+def test_dyadic_matches_fraction(n):
+    """``_dyadic`` builds its Fraction with a private constructor that
+    skips the gcd; a Python release that changes that constructor must
+    fail here rather than leave a fraction unreduced."""
+    for num in (0, 1, 3, (1 << n) - 1 or 1, 1 << n, 5 << n, 3 << (n + 9),
+                ((1 << 2 * n) + 1) << max(n - 1, 0), 7 << (n // 2)):
+        got, want = _dyadic(num, n), Fraction(num, 1 << n)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -9,11 +9,19 @@ bytes.  Usage messages depend on the terminal width, which is fixed at
 The two digit-limit probes at the end wrote nothing but a traceback
 before, so they have no golden bytes: their values are checked against
 ``build_count_table`` and ``truncated_expectation`` instead.
+
+The demos that print only exact values (and demo 05's seeded Monte Carlo
+means) are pinned the same way, from before the point queries were
+reimplemented.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +107,21 @@ GOLDEN_ERRORS = [
 ]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# demo file, sha256 of stdout; exit code 0 and an empty stderr.
+GOLDEN_DEMOS = [
+    ("01_count_tables.py",
+     "2946019ae0deb925fbd73aa7e9ac5f61485182a35822a92c5c9a2ca5725f1490"),
+    ("02_exact_distribution.py",
+     "4d3bd99907191a454bc18461bac3f88e250d05ba682903d326f4b6f5ba794fb6"),
+    ("03_generating_function.py",
+     "789f17b698cb8a63eb6d5685fdeb494bab546b52b533051956461193336bd1d8"),
+    ("05_expectation_table.py",
+     "6482c87ca2f6e6911a35e68f16aa45e6f283759928f42c05ef61e2a55ab3452e"),
+]
+
+
 @pytest.fixture
 def run(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
@@ -150,3 +173,15 @@ def test_expect_beyond_the_digit_limit(run):
     assert len(den) > 4300
     assert Decimal(num) == Decimal(want.numerator)
     assert Decimal(den) == Decimal(want.denominator)
+
+
+@pytest.mark.parametrize("demo, sha256", GOLDEN_DEMOS, ids=[d for d, _ in GOLDEN_DEMOS])
+def test_golden_demo(demo, sha256):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("STREAKCALC_TABLE_CAP", None)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == sha256

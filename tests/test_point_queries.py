@@ -1,0 +1,170 @@
+"""Point queries of the exact layer: the jump against the window loop.
+
+``count_at``, ``pmf``, ``tail_mass`` and ``truncated_expectation`` jump
+their recurrence by Fiduccia's method once the horizon reaches
+max(512, 4 d**3) (d the recurrence order: k for the counts, 2k + 1 for
+the scaled partial sums) and run the window loop below it.  Both routes
+are checked here against references that share neither: counts summed
+naively over the last k terms, the tail as 1 - sum of c(i) / 2**i and
+the truncated expectation as a plain sum of n c(n) / 2**n.
+"""
+
+from collections import deque
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streakcalc import counts
+from streakcalc.counts import TABLE_CAP_ENV, RunSpec, count_at
+from streakcalc.distribution import pmf, tail_mass, truncated_expectation
+from streakcalc.errors import CapacityError
+
+QUERIES = (count_at, pmf, tail_mass, truncated_expectation)
+
+
+def naive_counts(k: int, n_max: int) -> list[int]:
+    """c(0..n_max) with each entry summed afresh from the last k."""
+    c = [0] * (n_max + 1)
+    if n_max >= k:
+        c[k] = 1
+    for n in range(k + 1, n_max + 1):
+        c[n] = sum(c[n - k:n])
+    return c
+
+
+def reference(k: int, n: int) -> dict:
+    """The four point queries at (k, n), from the naive counts."""
+    c = naive_counts(k, n)
+    below = sum(c[i] << (n - i) for i in range(n + 1))
+    return {
+        count_at: c[n],
+        pmf: Fraction(c[n], 1 << n),
+        tail_mass: 1 - Fraction(below, 1 << n),
+        truncated_expectation: Fraction(sum(i * c[i] << (n - i) for i in range(n + 1)), 1 << n),
+    }
+
+
+def streamed_truncated_expectation(k: int, n_max: int) -> Fraction:
+    """sum of n c(n) / 2**n for n <= n_max, holding only the last k + 1
+    counts: c(n) = 2 c(n-1) - c(n-k-1) for n >= k + 2 (subtract the
+    recurrence at n - 1 from that at n), with c(k + 1) = 1."""
+    last = deque([0] * (k + 1), maxlen=k + 1)  # c(n-k-1), ..., c(n-1)
+    acc = 0
+    for n in range(1, n_max + 1):
+        c = 1 if n in (k, k + 1) else 2 * last[-1] - last[0]
+        last.append(c)
+        acc = 2 * acc + n * c
+    return Fraction(acc, 1 << n_max)
+
+
+def route(jump: bool):
+    """Force every point query onto the jump or onto the window loop."""
+    return mock.patch.object(counts, "_jumps", lambda d, n: jump)
+
+
+def crossover(d: int) -> int:
+    return max(512, 4 * d ** 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 13])
+def test_counts_across_the_crossover(k):
+    x = crossover(k)
+    c = naive_counts(k, x + 1)
+    assert not counts._jumps(k, x - 1) and counts._jumps(k, x)
+    for n in (x - 1, x, x + 1):
+        assert count_at(RunSpec(k), n) == c[n]
+        assert pmf(RunSpec(k), n) == Fraction(c[n], 1 << n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_partial_sums_across_the_crossover(k):
+    d = 2 * k + 1
+    x = crossover(d)
+    assert not counts._jumps(d, x - 1) and counts._jumps(d, x)
+    c = naive_counts(k, x + k + 2)
+    for n in (x - 1, x, x + 1):
+        want = sum(i * c[i] << (n - i) for i in range(n + 1))
+        assert truncated_expectation(RunSpec(k), n) == Fraction(want, 1 << n)
+        below = sum(c[i] << (n - i) for i in range(n + 1))
+        assert tail_mass(RunSpec(k), n) == 1 - Fraction(below, 1 << n)
+
+
+def test_partial_sums_jump_at_k13():
+    """k = 13 jumps the order-27 recurrence from n = 78 732 on; the
+    reference streams the counts instead of holding a 78 732-row table."""
+    n = crossover(27)
+    assert counts._jumps(27, n) and not counts._jumps(27, n - 1)
+    assert truncated_expectation(RunSpec(13), n) == streamed_truncated_expectation(13, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 16), n=st.integers(1, 5000))
+def test_jump_equals_window(k, n):
+    want = reference(k, n)
+    for jump in (True, False):
+        with route(jump):
+            for query in QUERIES:
+                assert query(RunSpec(k), n) == want[query], (query.__name__, jump)
+
+
+def test_jump_below_the_seeds():
+    """Horizons shorter than the recurrence order read the seeds."""
+    for k in (1, 2, 5):
+        for n in range(1, 2 * k + 3):
+            want = reference(k, n)
+            with route(True):
+                for query in QUERIES:
+                    assert query(RunSpec(k), n) == want[query]
+
+
+def test_capacity_cases_straddle_the_crossover():
+    """The cases below take both routes at n = 999."""
+    assert counts._jumps(1, 999) and counts._jumps(3, 999)
+    assert not counts._jumps(8, 999)
+    assert counts._jumps(2 * 1 + 1, 999) and not counts._jumps(2 * 3 + 1, 999)
+
+
+# k = 1 and k = 3 jump at n = 999, k = 8 does not; truncated_expectation
+# jumps at 999 only for k = 1.
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+def test_capacity_boundary_unmoved(monkeypatch, k, query):
+    monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+    query(RunSpec(k), 999)
+    with pytest.raises(CapacityError) as info:
+        query(RunSpec(k), 1000)
+    assert str(info.value) == (
+        "table of 1001 entries exceeds cap of 1000 (override with STREAKCALC_TABLE_CAP)"
+    )
+
+
+def spy_on_window(monkeypatch) -> list[int]:
+    sizes = []
+    window = counts._window
+
+    def spy(k, n_max, num):
+        sizes.append(n_max + 1)
+        return window(k, n_max, num)
+
+    monkeypatch.setattr(counts, "_window", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+def test_no_table_above_the_crossover(monkeypatch, k, query):
+    sizes = spy_on_window(monkeypatch)
+    query(RunSpec(k), 20_000)
+    assert sizes and max(sizes) <= 2 * k + 2, sizes
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+def test_refusal_above_the_crossover_does_no_work(monkeypatch, query):
+    sizes = spy_on_window(monkeypatch)
+    monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+    with pytest.raises(CapacityError):
+        query(RunSpec(3), 5000)
+    assert sizes == []
