@@ -14,9 +14,8 @@ run of ``k`` consecutive heads:
   enumeration and a seeded Monte Carlo simulator.
 * :mod:`streakcalc.cli` - the ``streakcalc`` command.
 
-All probability arithmetic uses :class:`fractions.Fraction`.  The
-oracle names load :mod:`streakcalc.oracle`, and with it numpy, on first
-use, so the exact layer imports no numpy.
+All probability arithmetic uses :class:`fractions.Fraction`.  numpy
+loads only when an oracle runs.
 """
 
 from .counts import (
@@ -42,6 +41,15 @@ from .genfunc import (
     expectation,
     expectation_closed_form,
     series_matches_closed_form,
+)
+from .oracle import (
+    SimConfig,
+    SimReport,
+    enumerate_counts,
+    enumerate_first_run_histogram,
+    enumerate_truncated_expectation,
+    first_run_index,
+    simulate,
 )
 
 __version__ = "0.1.0"
@@ -77,11 +85,3 @@ __all__ = [
     "truncated_expectation",
 ]
 
-
-def __getattr__(name: str):
-    # The names of __all__ not bound above are the oracle's (PEP 562).
-    if name in __all__:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -31,15 +30,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-# Most coin flips one command may simulate: about half an hour at the
-# simulator's roughly 25 ns per flip.
-SIMULATION_FLIP_CAP = 1 << 36
-
-# Most passes one command may make, each pass flipping one coin for
-# every live trial of a block: about 21 minutes at roughly 19 us per
-# pass, which is what a pass costs when few trials are left alive.
-SIMULATION_PASS_CAP = 1 << 26
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -223,36 +213,6 @@ def _cmd_counts(args) -> int:
     return EXIT_OK
 
 
-def _check_simulation_budget(configs) -> None:
-    """Refuse, before any coin is drawn, simulations that would flip more
-    than ``SIMULATION_FLIP_CAP`` coins or make more than
-    ``SIMULATION_PASS_CAP`` passes in all.
-
-    A trial flips min(max steps, X) coins, X the waiting time, whose mean
-    is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
-    flips are estimated as trials times L, and the passes, each flipping
-    one coin for every live trial of a block, as blocks times L.
-    """
-    flips = 0
-    passes = 0
-    for config in configs:
-        p, k = config.success_prob, config.k
-        mean = (1 - p**k) / ((1 - p) * p**k)
-        length = min(config.max_steps_per_trial, math.ceil(mean))
-        flips += config.trials * length
-        passes += -(-config.trials // oracle.PARTITION_SIZE) * length
-    for need, cap, what, per in (
-        (flips, SIMULATION_FLIP_CAP, "coin flips", "trials"),
-        (passes, SIMULATION_PASS_CAP, "passes", "trial blocks"),
-    ):
-        if need > cap:
-            raise CapacityError(
-                f"simulation needs about 2^{math.log2(need):.0f} {what}, over "
-                f"the budget of 2^{math.log2(cap):.0f} "
-                f"({per} x min(max steps, mean trial length))"
-            )
-
-
 def _cmd_expect(args) -> int:
     if args.k_min < 1:
         raise DomainError(f"--k-min must be >= 1, got {args.k_min}")
@@ -271,12 +231,12 @@ def _cmd_expect(args) -> int:
             )
             for k in ks
         }
-        _check_simulation_budget(sims.values())
+        oracle.check_budget(sims.values())
+    specs = [RunSpec(k) for k in ks]
     rows = []
     notes = []
     all_agree = True
-    for k in ks:
-        spec = RunSpec(k)
+    for k, spec in zip(ks, specs):
         horizon = args.n_max or distribution.DEFAULT_HORIZON_FACTOR * k
         closed = genfunc.expectation_closed_form(spec)
         derived = genfunc.expectation(spec)
@@ -326,7 +286,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps_per_trial=args.max_steps,
     )
-    _check_simulation_budget([config])
     report = oracle.simulate(config)
     rows = [
         {

@@ -4,7 +4,8 @@ Nothing in this module uses the count recurrence or the closed forms.
 Enumeration walks every binary sequence of a given length; the
 simulator flips actual (pseudo-random) coins.  Agreement between these
 routes and the analytic modules is what the test suite and the
-``verify`` command check.
+``verify`` command check.  numpy is imported inside the functions that
+run an oracle, so importing this module, or the CLI, does not load it.
 
 Sequence encoding for enumeration: integers ``0 .. 2**n - 1`` with bit
 ``i`` holding the outcome of trial ``i + 1`` (1 = heads).
@@ -16,8 +17,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .counts import RunSpec
 from .errors import CapacityError, DomainError
@@ -34,6 +33,15 @@ _ENUM_CHUNK = 1 << 22
 PARTITION_SIZE = 1 << 16
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+# Most coin flips one call may simulate: about half an hour at the
+# simulator's roughly 25 ns per flip.
+SIMULATION_FLIP_CAP = 1 << 36
+
+# Most passes one call may make, each pass flipping one coin for
+# every live trial of a block: about 21 minutes at roughly 19 us per
+# pass, which is what a pass costs when few trials are left alive.
+SIMULATION_PASS_CAP = 1 << 26
 
 
 def _iter_heads(outcomes) -> Iterator[bool]:
@@ -80,7 +88,7 @@ def _check_enum_args(k: int, n: int) -> None:
         )
 
 
-def _run_end_bits(x: np.ndarray, k: int) -> np.ndarray:
+def _run_end_bits(x, k: int):
     # Bit b of the result is set iff bits b..b+k-1 of x are all set,
     # i.e. a k-run of heads ends at trial b+k.
     runs = x.copy()
@@ -99,6 +107,7 @@ def enumerate_counts(k: int, n: int) -> int:
     _check_enum_args(k, n)
     if n < k:
         return 0
+    import numpy as np
     target = 1 << (n - k)  # lowest run-end bit must sit exactly here
     total = 0
     for lo in range(0, 1 << n, _ENUM_CHUNK):
@@ -116,6 +125,7 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
     sequences with no k-run at all.  Together they partition 2**n.
     """
     _check_enum_args(k, n)
+    import numpy as np
     ends = np.zeros(n + 1, dtype=np.int64)
     no_run = 0
     for lo in range(0, 1 << n, _ENUM_CHUNK):
@@ -131,12 +141,10 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
 
 
 def enumerate_truncated_expectation(k: int, n: int) -> Fraction:
-    """Exact sum of i * (exhaustive count at i) / 2**i for i = 1..n."""
-    _check_enum_args(k, n)
-    acc = 0
-    for i in range(1, n + 1):
-        acc = 2 * acc + i * enumerate_counts(k, i)
-    return Fraction(acc, 1 << n)
+    """Exact sum of i * (exhaustive count at i) / 2**i for i = 1..n, read
+    from one histogram: a first run ending at i has 2**(n - i) extensions."""
+    ends, _ = enumerate_first_run_histogram(k, n)
+    return Fraction(sum(i * c for i, c in enumerate(ends)), 1 << n)
 
 
 @dataclass(frozen=True)
@@ -192,16 +200,42 @@ class SimReport:
     rng_algorithm: str
 
 
-def _partition_rng(seed: int, index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(seq))
+def check_budget(configs) -> None:
+    """Refuse, before any coin is drawn, simulations that would flip more
+    than ``SIMULATION_FLIP_CAP`` coins or make more than
+    ``SIMULATION_PASS_CAP`` passes in all.
+
+    A trial flips min(max steps, X) coins, X the waiting time, whose mean
+    is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
+    flips are estimated as trials times L, and the passes, each flipping
+    one coin for every live trial of a block, as blocks times L.
+    """
+    flips = 0
+    passes = 0
+    for config in configs:
+        p, k = config.success_prob, config.k
+        mean = (1 - p**k) / ((1 - p) * p**k)
+        length = min(config.max_steps_per_trial, math.ceil(mean))
+        flips += config.trials * length
+        passes += -(-config.trials // PARTITION_SIZE) * length
+    for need, cap, what, per in (
+        (flips, SIMULATION_FLIP_CAP, "coin flips", "trials"),
+        (passes, SIMULATION_PASS_CAP, "passes", "trial blocks"),
+    ):
+        if need > cap:
+            raise CapacityError(
+                f"simulation needs about 2^{math.log2(need):.0f} {what}, over "
+                f"the budget of 2^{math.log2(cap):.0f} "
+                f"({per} x min(max steps, mean trial length))"
+            )
 
 
 def _partition_totals(
-    k: int, threshold: np.uint64, n_trials: int, max_steps: int, rng
+    k: int, threshold, n_trials: int, max_steps: int, rng
 ) -> tuple[int, int, int, int]:
     # Flip one coin per active trial per pass; drop trials as they
     # complete or hit the cap. Totals are exact Python ints.
+    import numpy as np
     run = np.zeros(n_trials, dtype=np.int64)
     steps = np.zeros(n_trials, dtype=np.int64)
     completed = 0
@@ -245,8 +279,11 @@ def simulate(config: SimConfig) -> SimReport:
     Heads is drawn by comparing a uniform 64-bit integer against
     ``floor(p * 2**64)``: exact for any p with a power-of-two
     denominator (in particular the fair coin), off by less than 2**-64
-    otherwise.
+    otherwise.  Runs over the budget of :func:`check_budget` are
+    refused before any coin is drawn.
     """
+    check_budget([config])
+    import numpy as np
     p = config.success_prob
     threshold = np.uint64((p.numerator << 64) // p.denominator)
     # int64 step counters cannot reach 2**62 anyway; clamping keeps the
@@ -260,12 +297,13 @@ def simulate(config: SimConfig) -> SimReport:
     index = 0
     while remaining:
         block = min(PARTITION_SIZE, remaining)
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
         c, t, tsq, tr = _partition_totals(
             config.k,
             threshold,
             block,
             step_cap,
-            _partition_rng(config.seed, index),
+            np.random.Generator(np.random.PCG64(seq)),
         )
         completed += c
         total += t

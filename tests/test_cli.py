@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from streakcalc import oracle
+from streakcalc import distribution, oracle
 from streakcalc.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -113,6 +113,19 @@ def test_expect_rejects_empty_range(capsys):
     assert "empty range" in err
 
 
+def test_expect_checks_whole_range_before_any_row(capsys, monkeypatch):
+    """k = 65 is refused before the rows for k = 40..64 are computed."""
+
+    def computed(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(distribution, "truncated_expectation", computed)
+    result = run_cli(
+        capsys, "expect", "--k-min", "40", "--k-max", "65", "--n-max", "30000"
+    )
+    assert result == (EXIT_USAGE, "", "streakcalc: run length must be <= 64, got 65\n")
+
+
 def test_expect_with_simulation_column(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -176,8 +189,9 @@ class CoinsDrawn(Exception):
     pass
 
 
-def _draw(config):
-    raise CoinsDrawn(config)
+def _draw(*args):
+    # Stands in for oracle._partition_totals, the one function that draws.
+    raise CoinsDrawn(args)
 
 
 @pytest.mark.parametrize(
@@ -185,7 +199,7 @@ def _draw(config):
 )
 def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv):
     """Without the budget these would flip about 2^41 coins per trial."""
-    monkeypatch.setattr(oracle, "simulate", _draw)
+    monkeypatch.setattr(oracle, "_partition_totals", _draw)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1
@@ -204,7 +218,7 @@ def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv
 def test_simulation_over_pass_budget_refused_before_drawing(capsys, monkeypatch, argv):
     """About 2^31 flips fit the flip budget, but one trial alone would
     take about 2^31 passes over a single live trial."""
-    monkeypatch.setattr(oracle, "simulate", _draw)
+    monkeypatch.setattr(oracle, "_partition_totals", _draw)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1
@@ -217,7 +231,7 @@ def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
     """With a cap of 1000 * 2^k every trial at p = 1/1000 was truncated
     and the run reported a mean of 0.0; the cap 1000 * 1000^3 lets the
     flip budget see the run's real size."""
-    monkeypatch.setattr(oracle, "simulate", _draw)
+    monkeypatch.setattr(oracle, "_partition_totals", _draw)
     code, out, err = run_cli(
         capsys, "simulate", "--k", "3", "--p", "1/1000", "--trials", "1000"
     )
@@ -239,7 +253,7 @@ def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
     ],
 )
 def test_simulation_budget_boundary(capsys, monkeypatch, argv, most_trials):
-    monkeypatch.setattr(oracle, "simulate", _draw)
+    monkeypatch.setattr(oracle, "_partition_totals", _draw)
     with pytest.raises(CoinsDrawn):
         main([*argv.split(), "--trials", str(most_trials)])
     code, _, _ = run_cli(capsys, *argv.split(), "--trials", str(most_trials + 1))

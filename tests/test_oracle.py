@@ -5,11 +5,12 @@ per-sequence scan built on first_run_index, so the two oracle routes
 vouch for each other before they are used to vouch for anything else.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from streakcalc import distribution
+from streakcalc import distribution, oracle
 from streakcalc.counts import RunSpec
 from streakcalc.errors import CapacityError, DomainError
 from streakcalc.oracle import (
@@ -125,6 +126,16 @@ def test_enumerate_truncated_expectation_examples(k, n, expected):
     assert enumerate_truncated_expectation(k, n) == expected
 
 
+@pytest.mark.parametrize("k, n", [(1, 6), (2, 9), (3, 12), (5, 11)])
+def test_enumerate_truncated_expectation_matches_count_sum(k, n):
+    """The one-histogram reading equals the sum over n + 1 separate
+    enumerations, i * enumerate_counts(k, i) / 2**i for i = 1..n."""
+    reference = sum(
+        Fraction(i * enumerate_counts(k, i), 1 << i) for i in range(1, n + 1)
+    )
+    assert enumerate_truncated_expectation(k, n) == reference
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_enumeration_expectation_matches_distribution(k):
     for n in (5, 9, 12):
@@ -156,6 +167,23 @@ def test_sim_config_defaults_step_cap():
     # the cap follows p: 1000 * ceil(3**3), not the fair coin's 1000 * 2**3
     config = SimConfig(k=3, success_prob=Fraction(1, 3), trials=10, seed=1)
     assert config.max_steps_per_trial == 1000 * 27
+
+
+def test_simulate_over_budget_refused_before_drawing(monkeypatch):
+    """Without the budget one trial at k = 40 would flip about 2^41 coins."""
+
+    def draw(*args):
+        raise AssertionError("a coin was drawn")
+
+    monkeypatch.setattr(oracle, "_partition_totals", draw)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as refused:
+        simulate(SimConfig(k=40, success_prob=HALF, trials=1, seed=0))
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        "simulation needs about 2^41 coin flips, over the budget of 2^36 "
+        "(trials x min(max steps, mean trial length))"
+    )
 
 
 def test_simulate_is_deterministic():

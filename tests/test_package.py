@@ -2,12 +2,16 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+from streakcalc import oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,30 +21,56 @@ import sys
 import streakcalc.counts, streakcalc.distribution, streakcalc.genfunc
 assert "numpy" not in sys.modules, "the exact layer imported numpy"
 
-from streakcalc import SimConfig, simulate
 import streakcalc
 names = {}
 exec("from streakcalc import *", names)
 assert set(streakcalc.__all__) <= set(names), "import * missed a name"
-try:
-    streakcalc.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("an unknown attribute resolved")
+assert "numpy" not in sys.modules, "importing the oracle loaded numpy"
+"""
+
+CLI_CHECK = """
+import contextlib, io, sys
+import streakcalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["counts", "--k", "3", "--n-max", "20"],
+                 ["expect", "--k-min", "1", "--k-max", "3"]):
+        assert streakcalc.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+    assert streakcalc.cli.main(["verify", "--k-max", "2"]) == 0
+assert "numpy" in sys.modules, "verify ran no oracle"
 """
 
 
-def test_exact_layer_imports_without_numpy():
-    """In a fresh interpreter: numpy stays unloaded until an oracle name
-    is used, the oracle names and ``import *`` still resolve, and an
-    unknown name raises AttributeError."""
+def _fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_CHECK],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_exact_layer_imports_without_numpy():
+    """In a fresh interpreter: importing every name of the package,
+    oracle names included, leaves numpy unloaded."""
+    _fresh_interpreter(IMPORT_CHECK)
+
+
+def test_exact_commands_run_without_numpy():
+    """In a fresh interpreter: ``counts`` and ``expect`` load no numpy,
+    and ``verify``, which runs the enumeration oracle, does."""
+    _fresh_interpreter(CLI_CHECK)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [f for _, f in inspect.getmembers(oracle, inspect.isfunction)
+     if f.__module__ == oracle.__name__],
+    ids=lambda f: f.__name__,
+)
+def test_oracle_annotations_resolve(fn):
+    """No annotation names numpy, which the oracle module does not import."""
+    typing.get_type_hints(fn)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
