@@ -33,7 +33,7 @@ from .distribution import (
     tail_mass,
     truncated_expectation,
 )
-from .errors import CapacityError, DomainError, SingularityError, StreakError
+from .errors import CapacityError, DomainError, StreakError
 from .genfunc import (
     eval_y,
     eval_y_prime,
@@ -63,7 +63,6 @@ __all__ = [
     "RunSpec",
     "SimConfig",
     "SimReport",
-    "SingularityError",
     "StreakError",
     "build_count_table",
     "count_at",

@@ -11,7 +11,3 @@ class DomainError(StreakError, ValueError):
 
 class CapacityError(StreakError):
     """A requested table or enumeration exceeds a configured size cap."""
-
-
-class SingularityError(StreakError, ZeroDivisionError):
-    """A closed-form denominator evaluated to exactly zero."""

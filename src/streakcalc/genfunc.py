@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .counts import RunSpec, build_count_table
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 Rational = Fraction | int | str
 
@@ -42,16 +42,16 @@ def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
 
 
 def _point(spec: RunSpec, r: Rational) -> tuple[Fraction, Fraction]:
-    """r as an exact rational in (0, 1), and the denominator there."""
+    """r as an exact rational in (0, 1), and the denominator there.
+
+    The denominator is never zero: with r = a/b in lowest terms, a zero
+    would give b**(k+1) - 2a b**k + a**(k+1) = 0, so b | a**(k+1), b = 1
+    and r would be an integer.
+    """
     r = _as_fraction(r)
     if not 0 < r < 1:
         raise DomainError(f"r must lie strictly inside (0, 1), got {r}")
-    denom = denominator_core(spec, r)
-    if denom == 0:
-        raise SingularityError(
-            f"denominator 1 - 2r + r**{spec.k + 1} is zero at r = {r}"
-        )
-    return r, denom
+    return r, denominator_core(spec, r)
 
 
 def eval_y(spec: RunSpec, r: Rational) -> Fraction:

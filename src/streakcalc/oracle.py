@@ -97,26 +97,6 @@ def _run_end_bits(x, k: int):
     return runs
 
 
-def enumerate_counts(k: int, n: int) -> int:
-    """Count, by exhaustion over all 2**n sequences, those whose first
-    k-run ends exactly at trial n.
-
-    This is the direct realization of the definition and is kept free
-    of the recurrence on purpose.
-    """
-    _check_enum_args(k, n)
-    if n < k:
-        return 0
-    import numpy as np
-    target = 1 << (n - k)  # lowest run-end bit must sit exactly here
-    total = 0
-    for lo in range(0, 1 << n, _ENUM_CHUNK):
-        x = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << n), dtype=np.int64)
-        runs = _run_end_bits(x, k)
-        total += int(np.count_nonzero((runs & -runs) == target))
-    return total
-
-
 def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]:
     """Histogram of first k-run completion trials over all 2**n sequences.
 
@@ -138,6 +118,16 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
         positions = np.log2(low_bits.astype(np.float64)).astype(np.int64)
         ends += np.bincount(positions + k, minlength=n + 1)
     return tuple(int(c) for c in ends), no_run
+
+
+def enumerate_counts(k: int, n: int) -> int:
+    """Count, by exhaustion over all 2**n sequences, those whose first
+    k-run ends exactly at trial n: the last bin of the histogram.
+
+    This is the direct realization of the definition and is kept free
+    of the recurrence on purpose.
+    """
+    return enumerate_first_run_histogram(k, n)[0][n]
 
 
 def enumerate_truncated_expectation(k: int, n: int) -> Fraction:

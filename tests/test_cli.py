@@ -2,10 +2,11 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from streakcalc import distribution, oracle
+from streakcalc import counts, distribution, genfunc, oracle
 from streakcalc.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -285,6 +286,59 @@ def test_verify_smallest_instance_mentions_normalization(capsys):
     normalization = [row for row in rows if row["check"] == "y(1/2)=1[k=1]"]
     assert len(normalization) == 1
     assert normalization[0]["result"] == "PASS"
+
+
+_count_at = counts.count_at
+_tail_mass = distribution.tail_mass
+_eval_y = genfunc.eval_y
+_expectation = genfunc.expectation
+
+# One dependency of verify broken at k = 3 (and n = 7 or the enumeration
+# horizon n = 14): module, name, stand-in, the row that must fail, and
+# its discrepancy text.  c(7) = 7 and E = 14 at k = 3.
+VERIFY_FAULTS = [
+    (counts, "count_at",
+     lambda spec, n: _count_at(spec, n) + (spec.k == 3 and n == 7),
+     "recurrence-vs-enumeration[k=3]", "n=7: recurrence 8 != enumeration 7"),
+    (distribution, "tail_mass",
+     lambda spec, n: _tail_mass(spec, n) + Fraction(spec.k == 3 and n == 14, 1 << n),
+     "pmf-partition-vs-enumeration[k=3]",
+     f"cdf mismatch: {1 - _tail_mass(counts.RunSpec(3), 14)} != "
+     f"{1 - _tail_mass(counts.RunSpec(3), 14) - Fraction(1, 1 << 14)}"),
+    (genfunc, "eval_y",
+     lambda spec, r: _eval_y(spec, r) * (2 if spec.k == 3 else 1),
+     "y(1/2)=1[k=3]", "y(1/2) = 2"),
+    (genfunc, "expectation",
+     lambda spec: _expectation(spec) + (spec.k == 3),
+     "expectation-agreement[k=3]", "derivative route 15 != closed form 14"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, check, discrepancy", VERIFY_FAULTS,
+    ids=[fault[1] for fault in VERIFY_FAULTS],
+)
+def test_verify_fails_only_the_broken_check(
+    capsys, monkeypatch, module, name, fake, check, discrepancy
+):
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run_cli(capsys, "verify", "--k-max", "4")
+    assert (code, err) == (EXIT_VERIFY_FAILED, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 16
+    failed = [row for row in rows if row["result"] != "PASS"]
+    assert failed == [{"check": check, "result": "FAIL", "discrepancy": discrepancy}]
+    assert all(row["discrepancy"] == "0" for row in rows if row["check"] != check)
+
+
+def test_verify_refuses_long_runs_before_any_check(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated before the range was checked")
+
+    monkeypatch.setattr(oracle, "enumerate_first_run_histogram", never)
+    code, out, err = run_cli(capsys, "verify", "--k-max", "65")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "streakcalc: run length must be <= 64, got 65\n"
 
 
 def test_verify_rejects_bad_range(capsys):

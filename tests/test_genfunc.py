@@ -192,8 +192,8 @@ def test_series_gap_domain_errors():
 
 def test_denominator_never_vanishes_at_rational_points():
     """1 - 2r + r**(k+1) has no rational root in (0, 1) (the only
-    rational candidates are +-1), so the singularity guard is
-    unreachable through valid inputs; probe a grid to document it."""
+    rational candidates are +-1), so the evaluators need no zero
+    guard; probe a grid to document it."""
     for k in range(1, 11):
         for j in range(1, 40):
             assert denominator_core(RunSpec(k), Fraction(j, 40)) != 0

@@ -64,6 +64,11 @@ GOLDEN_OUTPUT = [
      "b7fbb7c42861f83b0e92731ac247182d299952f600c704f5b31a6ef14198246e"),
     ("verify --k-max 4 --format csv",
      "210676af994cc412d8c6397af292665ffcaf2fa9c12f23fd933b560877d81011"),
+    # enumeration horizon min(2k + 8, 18): capped from k = 5 on
+    ("verify --k-max 9",
+     "d9f19a3cf2cb85488c73db60dc0978bdcec405467cdcf7ea8a441fac8a4e649a"),
+    ("verify --k-max 13 --format csv",
+     "5402bfbb6e572b2a03f92abfa7fa9c0ee5a7e78135d70a56af6196d9ae9cdf1e"),
     # table-sized dumps: 21 MB of JSON and 22 MB of CSV
     ("counts --k 2 --n-max 14000",
      "a7ff740ce32d6dc80e88809d04d66b67478ca4d13b9356d286348525487b4c46"),
