@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 
 from . import counts as counts_mod
 from . import distribution, genfunc, oracle
@@ -103,16 +106,18 @@ class OutputEnvelope:
 
     ``parameters`` echoes every input affecting the result, including
     seeds and truncation bounds, so identical invocations are
-    identifiable and reproduce byte-identical output.
+    identifiable and reproduce byte-identical output.  ``rows`` may be
+    any iterable of dicts; an iterator is written once, row by row.
     """
 
     command: str
     parameters: dict
-    rows: list
+    rows: Iterable
     notes: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        """The envelope as ``json.dumps(payload, indent=2)`` writes it."""
+    def write_json(self, put) -> None:
+        """Hand ``put`` the pieces of ``json.dumps(payload, indent=2)``
+        and a final line break, in order."""
         payload = {
             "command": self.command,
             "format_version": FORMAT_VERSION,
@@ -121,45 +126,60 @@ class OutputEnvelope:
         }
         if self.notes:
             payload["notes"] = self.notes
+        _json_pieces(payload, "\n", put)
+        put("\n")
+
+    def write_csv(self, put) -> None:
+        """Hand ``put`` the lines that ``csv.DictWriter(...,
+        lineterminator="\\r\\n")`` writes for the rows, header first;
+        nothing without rows."""
+        rows = iter(self.rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        fields = list(first)
+        put(_csv_line(fields))
+        for row in chain((first,), rows):
+            put(_csv_line([row.get(f) for f in fields]))
+
+    def to_json(self) -> str:
+        """The envelope as ``json.dumps(payload, indent=2)`` writes it."""
         out: list[str] = []
-        _json_pieces(payload, "\n", out)
-        out.append("\n")
+        self.write_json(out.append)
         return "".join(out)
 
     def to_csv(self) -> str:
-        """The rows as ``csv.DictWriter(..., lineterminator="\\r\\n")``
-        writes them, header first; nothing without rows."""
-        if not self.rows:
-            return ""
-        fields = list(self.rows[0])
-        lines = [_csv_line(fields)]
-        lines += [_csv_line([row.get(f) for f in fields]) for row in self.rows]
-        return "".join(lines)
+        """The rows as ``csv.DictWriter`` writes them; see :meth:`write_csv`."""
+        out: list[str] = []
+        self.write_csv(out.append)
+        return "".join(out)
 
 
-def _json_pieces(value, newline: str, out: list) -> None:
-    """Append the pieces of ``value`` in ``json.dumps(indent=2)`` layout;
-    ``newline`` is a line break followed by the current indentation."""
+def _json_pieces(value, newline: str, put) -> None:
+    """Hand ``put`` the pieces of ``value`` in ``json.dumps(indent=2)``
+    layout; ``newline`` is a line break followed by the current
+    indentation.  Iterators are written as arrays, as they arrive."""
+    if type(value) in (int, Decimal):
+        # Decimal cells hold integers and are written as bare digits, like int.
+        put(str(value))
+        return
     if isinstance(value, dict):
         brackets = "{}"
         items = [(json.dumps(key) + ": ", item) for key, item in value.items()]
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple, Iterator)):
         brackets = "[]"
-        items = [("", item) for item in value]
+        items = zip(repeat(""), value)
     else:
-        # Decimal cells hold integers and are written as bare digits, like int.
-        out.append(str(value) if type(value) in (int, Decimal) else json.dumps(value))
-        return
-    if not items:
-        out.append(brackets)
+        put(json.dumps(value))
         return
     inner = newline + "  "
     sep = brackets[0] + inner
     for prefix, item in items:
-        out.append(sep + prefix)
-        _json_pieces(item, inner, out)
+        put(sep + prefix)
+        _json_pieces(item, inner, put)
         sep = "," + inner
-    out.append(newline + brackets[1])
+    # an empty container never wrote its opening bracket
+    put(newline + brackets[1] if sep[0] == "," else brackets)
 
 
 def _csv_cell(value) -> str:
@@ -184,11 +204,44 @@ def _csv_line(values: list) -> str:
     return ",".join(cells) + "\r\n"
 
 
+# Characters of output gathered before one write to stdout.
+_CHUNK = 1 << 20
+
+
 def _emit(command, parameters, rows, fmt, notes=None) -> None:
+    """Write the envelope to stdout in chunks of about ``_CHUNK``
+    characters as its rows arrive, so streamed rows are never held whole.
+
+    A reader that stops early (``streakcalc counts ... | head``) ends the
+    output, not the command: stdout is pointed at the null device, so the
+    interpreter's final flush cannot fail again, and the exit code stays
+    the command's own.
+    """
     envelope = OutputEnvelope(
         command=command, parameters=parameters, rows=rows, notes=notes or []
     )
-    sys.stdout.write(envelope.to_csv() if fmt == "csv" else envelope.to_json())
+    write = sys.stdout.write
+    pieces: list[str] = []
+    size = 0
+
+    def put(piece: str) -> None:
+        nonlocal size
+        pieces.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    try:
+        (envelope.write_csv if fmt == "csv" else envelope.write_json)(put)
+        write("".join(pieces))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the signal module's documentation advises for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _exact(value: Fraction) -> str:
@@ -202,8 +255,10 @@ def _cmd_counts(args) -> int:
     spec = RunSpec(args.k)
     if args.n_max < 0:
         raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
-    table = counts_mod.decimal_counts(spec, args.n_max)
-    rows = [{"n": n, "count": c} for n, c in enumerate(table)]
+    # decimal_counts refuses here, before any output; the rows then
+    # stream from it to stdout.
+    counts = counts_mod.decimal_counts(spec, args.n_max)
+    rows = ({"n": n, "count": c} for n, c in enumerate(counts))
     _emit(
         "counts",
         {"k": args.k, "n_max": args.n_max, "format": args.format},

@@ -16,20 +16,25 @@ a 64-bit table would overflow near n = 70.
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
-    InvalidOperation, Overflow, Rounded, localcontext,
+    InvalidOperation, Overflow, Rounded,
 )
 from fractions import Fraction
+from itertools import cycle, islice
 
 from .errors import CapacityError, DomainError
 
 # Hard cap on run length: tables and closed forms stay desk-sized.
 K_MAX = 64
 
-# Default cap on table entries; override with the environment variable.
+# Default cap on the entries of a count table or stream; override with
+# the environment variable.  A stream holds only the last k counts, so the
+# cap bounds time and output size, not memory.
 DEFAULT_TABLE_CAP = 100_000
 TABLE_CAP_ENV = "STREAKCALC_TABLE_CAP"
 
@@ -91,23 +96,37 @@ def _check_table(n_max: int) -> None:
         )
 
 
-def _window(k: int, n_max: int, num: type) -> list:
-    """Counts c(0..n_max) as ``num`` values, in one forward pass.
+def _stream(
+    k: int, n_max: int, num: type = int, add=operator.add, sub=operator.sub
+) -> Iterator:
+    """Counts c(0..n_max) as ``num`` values, in one forward pass that
+    keeps only the last ``k`` of them.
 
-    Maintains a sliding window sum of the last ``k`` entries, so each
-    entry costs O(1) additions regardless of ``k``.  Both number types
-    and the seeds of :func:`_term` share this loop and its size check.
+    The capacity check runs at the call, before the first value.  Past
+    the seeds, c(n + 1) = c(n) + c(n) - c(n - k) for n > k, so each entry
+    costs two additions regardless of ``k``.  ``add`` and ``sub`` do that
+    arithmetic, so a ``Decimal`` stream can keep it in a context of its
+    own.  Every table, fold and seed in this package reads this stream.
     """
     _check_table(n_max)
-    vals = [num(0)] * (n_max + 1)
-    if n_max >= k:
-        vals[k] = num(1)
-        # window holds vals[n-1] + ... + vals[n-k] for the next n.
-        window = num(1)
-        for n in range(k + 1, n_max + 1):
-            vals[n] = window
-            window += vals[n] - vals[n - k]
-    return vals
+    return _ring(k, n_max, num(0), num(1), add, sub)
+
+
+def _ring(k, n_max, zero, one, add, sub):
+    """The values of :func:`_stream`, from the seeds ``zero`` and ``one``."""
+    yield from [zero] * min(k, n_max + 1)
+    if n_max < k:
+        return
+    yield one
+    # A list indexed through cycle() kept build_count_table within 3% of
+    # a loop filling a whole list (CPython 3.11); a deque ran 5-12% slower.
+    ring = [zero] * (k - 1) + [one]  # c(1..k); c(n - k) sits in slot (n - k - 1) % k
+    c = one  # c(k + 1)
+    for i in islice(cycle(range(k)), n_max - k):
+        yield c
+        old = ring[i]
+        ring[i] = c
+        c = sub(add(c, c), old)
 
 
 def _jumps(d: int, n: int) -> bool:
@@ -179,22 +198,26 @@ def _jump_count(k: int, n: int, horizon: int) -> int | None:
     if not _jumps(k, horizon):
         return None
     _check_table(horizon)
-    return _term([1] * k, _window(k, k, int)[1:], n - 1)
+    return _term([1] * k, list(_stream(k, k))[1:], n - 1)
 
 
-def _jump_partial_sum(k: int, n: int) -> int | None:
-    """S(n) = sum of i c(i) 2**(n-i) over i <= n by :func:`_term`, or None
-    where a table up to n is the faster route; the capacity check is that
-    table's.
+def _partial_sum(k: int, n: int) -> int:
+    """S(n) = sum of i c(i) 2**(n-i) over i <= n; the capacity check is
+    that of a table up to n.
 
-    S(n) = 2 S(n-1) + n c(n) obeys the order-(2k+1) recurrence whose
-    characteristic polynomial is (x - 2) P(x)**2, P that of the counts,
-    so it is jumped from S(0..2k); it is still the series.
+    S(n) = 2 S(n-1) + n c(n), folded over the count stream below the
+    crossover of :func:`_jumps`.  From it on, :func:`_term` jumps the
+    order-(2k+1) recurrence that S obeys, whose characteristic
+    polynomial is (x - 2) P(x)**2, P that of the counts, from S(0..2k);
+    it is still the series.
     """
     if not _jumps(2 * k + 1, n):
-        return None
+        acc = 0
+        for i, c in enumerate(_stream(k, n)):
+            acc = 2 * acc + i * c
+        return acc
     _check_table(n)
-    c = _window(k, 2 * k, int)
+    c = list(_stream(k, 2 * k))
     seeds = [0]
     for i in range(1, 2 * k + 1):
         seeds.append(2 * seeds[-1] + i * c[i])
@@ -209,37 +232,40 @@ def build_count_table(spec: RunSpec, n_max: int) -> CountTable:
     Raises :class:`CapacityError` when the table would exceed the
     configured capacity (default 100 000 entries).
     """
-    return CountTable(k=spec.k, values=tuple(_window(spec.k, n_max, int)))
+    return CountTable(k=spec.k, values=tuple(_stream(spec.k, n_max)))
 
 
-def decimal_counts(spec: RunSpec, n_max: int) -> list[Decimal]:
-    """The counts of :func:`build_count_table` as exact ``Decimal`` values.
+def decimal_counts(spec: RunSpec, n_max: int) -> Iterator[Decimal]:
+    """The counts of :func:`build_count_table` as exact ``Decimal``
+    values, yielded one at a time; only the last k are held.
 
     For writing tables out: ``str`` of a ``Decimal`` is linear in its
     digits and has no digit limit, where ``str`` of an ``int`` is
-    quadratic and refuses more than 4300 digits.  The local context has
-    unbounded precision and traps ``Inexact`` and ``Rounded``, so every
-    addition is exact or raises.  Same errors as :func:`build_count_table`.
+    quadratic and refuses more than 4300 digits.  The additions go
+    through the methods of a context of their own, with unbounded
+    precision and ``Inexact`` and ``Rounded`` trapped, so each is exact
+    or raises; the caller's decimal context is never touched, also
+    between two values.  Same errors as :func:`build_count_table`, raised
+    at the call, before any value.
     """
     exact = Context(
         prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
         traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
     )
-    with localcontext(exact):
-        return _window(spec.k, n_max, Decimal)
+    return _stream(spec.k, n_max, Decimal, exact.add, exact.subtract)
 
 
 def count_at(spec: RunSpec, n: int) -> int:
     """Exact count of length-n sequences whose first k-run ends at n.
 
     Costs O(log n) big-integer products from n = max(512, 4 k**3) on,
-    where no table is built, and one table up to n below; the capacity
-    check is that of the table either way.
+    and one pass over the counts up to n, holding k of them, below; the
+    capacity check is that of a table up to n either way.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     far = _jump_count(spec.k, n, n)
-    return build_count_table(spec, n).values[n] if far is None else far
+    return next(islice(_stream(spec.k, n), n, None)) if far is None else far
 
 
 def ratio_diagnostic(spec: RunSpec, n_max: int) -> list[Fraction]:

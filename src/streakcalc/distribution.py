@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from .counts import (
-    RunSpec, _jump_count, _jump_partial_sum, build_count_table, count_at,
+    RunSpec, _jump_count, _partial_sum, build_count_table, count_at,
 )
 from .errors import DomainError
 
@@ -87,17 +87,12 @@ def truncated_expectation(spec: RunSpec, n_max: int) -> Fraction:
 
     Monotone non-decreasing in n_max and strictly below the full
     expectation 2 (2**k - 1) for every finite horizon.  A far horizon
-    jumps the scaled sum's own recurrence; it is still the series.
+    jumps the scaled sum's own recurrence; it is still the series.  A
+    near one folds the counts as they stream, holding k of them.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    acc = _jump_partial_sum(spec.k, n_max)
-    if acc is None:
-        values = build_count_table(spec, n_max).values
-        acc = 0  # sum of i * c(i) * 2**(n-i), built by doubling
-        for n in range(1, n_max + 1):
-            acc = 2 * acc + n * values[n]
-    return _dyadic(acc, n_max)
+    return _dyadic(_partial_sum(spec.k, n_max), n_max)
 
 
 def tail_mass(spec: RunSpec, n_max: int) -> Fraction:

@@ -1,8 +1,13 @@
 """Tests for the command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +80,57 @@ def test_counts_capacity_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STREAKCALC_TABLE_CAP", "1000")
     code, out, _ = run_cli(capsys, "counts", "--k", "2", "--n-max", "20")
     assert code == EXIT_OK
+
+
+class ByteCounter:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_counts_streams_in_bounded_memory(monkeypatch):
+    """The 54 MB table leaves in chunks: the writer never holds more than
+    about a megabyte of output (the whole table cost over 100 MiB)."""
+    out = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["counts", "--k", "3", "--n-max", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert out.written == 53_851_568
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_counts_into_a_closed_pipe_exits_cleanly(fmt):
+    """``streakcalc counts ... | head -c 100``: the reader leaves after a
+    few bytes, and the command ends with exit 0 and no traceback."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "streakcalc.cli", "counts", "--k", "3",
+         "--n-max", "20000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OK, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_expect_reproduces_expectation_column(capsys):

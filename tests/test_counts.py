@@ -1,6 +1,6 @@
 """Tests for the exact count tables."""
 
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -178,11 +178,27 @@ def test_decimal_counts_equal_int_table(k):
     its integers have exponent 0, so they print as bare digits."""
     context = getcontext().copy()
     for n_max in (0, k - 1, k, 3000):
-        table = decimal_counts(RunSpec(k), n_max)
+        table = list(decimal_counts(RunSpec(k), n_max))
         assert table == [Decimal(v) for v in build_count_table(RunSpec(k), n_max).values]
         assert {d.as_tuple().exponent for d in table} == {0}
     # the exact context was local
     assert repr(getcontext()) == repr(context)
+
+
+def test_decimal_counts_leave_the_context_alone_between_values():
+    """The stream's exact arithmetic never becomes the caller's context,
+    not even while the caller holds a half-read stream; the caller's own
+    28-digit arithmetic still rounds in between."""
+    context = repr(getcontext())
+    stream = decimal_counts(RunSpec(3), 3000)
+    head = [next(stream) for _ in range(1500)]
+    assert repr(getcontext()) == context
+    assert len(head[-1].as_tuple().digits) > 28
+    with localcontext():  # a copy of the caller's context, to keep its flags
+        assert (head[-1] + 1).as_tuple().exponent > 0
+    rest = list(stream)
+    assert repr(getcontext()) == context
+    assert head + rest == [Decimal(v) for v in build_count_table(RunSpec(3), 3000).values]
 
 
 @pytest.mark.parametrize(

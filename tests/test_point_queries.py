@@ -1,14 +1,15 @@
-"""Point queries of the exact layer: the jump against the window loop.
+"""Point queries of the exact layer: the jump against the count stream.
 
 ``count_at``, ``pmf``, ``tail_mass`` and ``truncated_expectation`` jump
 their recurrence by Fiduccia's method once the horizon reaches
 max(512, 4 d**3) (d the recurrence order: k for the counts, 2k + 1 for
-the scaled partial sums) and run the window loop below it.  Both routes
+the scaled partial sums) and read the count stream below it.  Both routes
 are checked here against references that share neither: counts summed
 naively over the last k terms, the tail as 1 - sum of c(i) / 2**i and
 the truncated expectation as a plain sum of n c(n) / 2**n.
 """
 
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from unittest import mock
@@ -61,7 +62,7 @@ def streamed_truncated_expectation(k: int, n_max: int) -> Fraction:
 
 
 def route(jump: bool):
-    """Force every point query onto the jump or onto the window loop."""
+    """Force every point query onto the jump or onto the count stream."""
     return mock.patch.object(counts, "_jumps", lambda d, n: jump)
 
 
@@ -142,14 +143,16 @@ def test_capacity_boundary_unmoved(monkeypatch, k, query):
 
 
 def spy_on_window(monkeypatch) -> list[int]:
+    """Record the length of every count stream a query starts: tables,
+    folds and the seeds of a jump all read ``counts._stream``."""
     sizes = []
-    window = counts._window
+    stream = counts._stream
 
-    def spy(k, n_max, num):
+    def spy(k, n_max, *args):
         sizes.append(n_max + 1)
-        return window(k, n_max, num)
+        return stream(k, n_max, *args)
 
-    monkeypatch.setattr(counts, "_window", spy)
+    monkeypatch.setattr(counts, "_stream", spy)
     return sizes
 
 
@@ -168,3 +171,18 @@ def test_refusal_above_the_crossover_does_no_work(monkeypatch, query):
     with pytest.raises(CapacityError):
         query(RunSpec(3), 5000)
     assert sizes == []
+
+
+@pytest.mark.parametrize("query", [count_at, truncated_expectation], ids=lambda q: q.__name__)
+def test_fold_below_the_crossover_holds_k_counts(query):
+    """Below the crossover a point query folds the count stream: at
+    k = 64, n = 30 000 it holds 64 counts of up to 30 000 bits, where a
+    table up to n took 58 MiB."""
+    assert not counts._jumps(64, 30_000) and not counts._jumps(129, 30_000)
+    tracemalloc.start()
+    try:
+        query(RunSpec(64), 30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

@@ -90,6 +90,9 @@ def test_writer_matches_json_and_csv_modules(env):
     # Decimal cells are written as the bare digits of the same int
     assert with_decimal_cells(env).to_json() == env.to_json()
     assert with_decimal_cells(env).to_csv() == env.to_csv()
+    # rows that arrive from an iterator are written the same
+    assert dataclasses.replace(env, rows=iter(env.rows)).to_json() == env.to_json()
+    assert dataclasses.replace(env, rows=iter(env.rows)).to_csv() == env.to_csv()
 
 
 def test_csv_edge_cases_spelled_out():
