@@ -204,13 +204,12 @@ def _csv_line(values: list) -> str:
     return ",".join(cells) + "\r\n"
 
 
-# Characters of output gathered before one write to stdout.
-_CHUNK = 1 << 20
-
-
 def _emit(command, parameters, rows, fmt, notes=None) -> None:
-    """Write the envelope to stdout in chunks of about ``_CHUNK``
-    characters as its rows arrive, so streamed rows are never held whole.
+    """Write the envelope's pieces to stdout as its rows arrive; stdout's
+    own buffer gathers them, so streamed rows are never held whole.  A
+    stdout that passes each write on at once (``python -u``,
+    PYTHONUNBUFFERED, a terminal) is block-buffered meanwhile, so that a
+    piece of a row is not a system call of its own.
 
     A reader that stops early (``streakcalc counts ... | head``) ends the
     output, not the command: stdout is pointed at the null device, so the
@@ -220,28 +219,21 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
     envelope = OutputEnvelope(
         command=command, parameters=parameters, rows=rows, notes=notes or []
     )
-    write = sys.stdout.write
-    pieces: list[str] = []
-    size = 0
-
-    def put(piece: str) -> None:
-        nonlocal size
-        pieces.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            write("".join(pieces))
-            pieces.clear()
-            size = 0
-
+    out = sys.stdout
+    eager = {m: True for m in ("line_buffering", "write_through") if getattr(out, m, 0)}
+    if eager:
+        out.reconfigure(line_buffering=False, write_through=False)
     try:
-        (envelope.write_csv if fmt == "csv" else envelope.write_json)(put)
-        write("".join(pieces))
-        sys.stdout.flush()
+        (envelope.write_csv if fmt == "csv" else envelope.write_json)(out.write)
+        out.flush()
     except BrokenPipeError:
         # As the signal module's documentation advises for SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, out.fileno())
         os.close(devnull)
+    finally:
+        if eager:
+            out.reconfigure(**eager)
 
 
 def _exact(value: Fraction) -> str:
@@ -408,11 +400,17 @@ def _verify_checks(k_max: int):
         closed = genfunc.expectation_closed_form(spec)
         if derived != closed:
             problems.append(f"derivative route {derived} != closed form {closed}")
-        truncated = distribution.truncated_expectation(
-            spec, distribution.DEFAULT_HORIZON_FACTOR * k
-        )
+        horizon = distribution.DEFAULT_HORIZON_FACTOR * k
+        truncated = distribution.truncated_expectation(spec, horizon)
+        # k heads in a row end the run after any history, so
+        # P(X > m + k) <= (1 - 2^-k) P(X > m) and E[X; X > n] is at most
+        # (n + k 2^k) P(X > n) (Feller I, ch. XIII): a bound from the
+        # recurrence and the coin alone, never from the closed form.
+        bound = (horizon + k * 2**k) * distribution.tail_mass(spec, horizon)
         if not truncated < closed:
             problems.append(f"truncated {truncated} not below {closed}")
+        elif closed - truncated > bound:
+            problems.append(f"shortfall {closed - truncated} above bound {bound}")
         yield f"expectation-agreement[k={k}]", problems
 
 

@@ -147,6 +147,23 @@ def test_golden_output(run, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_golden_output_through_a_pipe(flags):
+    """The 22 MB CSV golden read from a real process through a pipe, where
+    stdout's own buffer is the only one between the rows and the reader."""
+    argv = "counts --k 3 --n-max 13000 --format csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("STREAKCALC_TABLE_CAP", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "streakcalc.cli", *argv.split()],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    sha256 = dict(GOLDEN_OUTPUT)[argv]
+    assert hashlib.sha256(result.stdout).hexdigest() == sha256
+
+
 @pytest.mark.parametrize(
     "argv, code, stderr", GOLDEN_ERRORS, ids=[a for a, _, _ in GOLDEN_ERRORS]
 )
