@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -155,6 +156,12 @@ class OutputEnvelope:
         return "".join(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _json_key(key: str) -> str:
+    # rows repeat the same few keys, so each is encoded once
+    return json.dumps(key) + ": "
+
+
 def _json_pieces(value, newline: str, put) -> None:
     """Hand ``put`` the pieces of ``value`` in ``json.dumps(indent=2)``
     layout; ``newline`` is a line break followed by the current
@@ -165,7 +172,7 @@ def _json_pieces(value, newline: str, put) -> None:
         return
     if isinstance(value, dict):
         brackets = "{}"
-        items = [(json.dumps(key) + ": ", item) for key, item in value.items()]
+        items = [(_json_key(key), item) for key, item in value.items()]
     elif isinstance(value, (list, tuple, Iterator)):
         brackets = "[]"
         items = zip(repeat(""), value)

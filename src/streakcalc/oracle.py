@@ -24,8 +24,10 @@ from .errors import CapacityError, DomainError
 # Exhaustion cap: at most 2**24 sequences per enumeration call.
 ENUMERATION_CAP = 24
 
-# Sequences are enumerated in blocks to bound memory.
-_ENUM_CHUNK = 1 << 22
+# Sequences enumerated per numpy pass: bounds each working array at
+# 128 KiB.  glibc malloc reuses blocks that small, while larger
+# temporaries are faulted in afresh, page by page, on every allocation.
+_ENUM_CHUNK = 1 << 14
 
 # Trials are partitioned into fixed-size blocks; each block draws from
 # its own child stream of the seed, so results do not depend on how the
@@ -34,12 +36,12 @@ PARTITION_SIZE = 1 << 16
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# Most coin flips one call may simulate: about half an hour at the
-# simulator's roughly 25 ns per flip.
+# Most coin flips one call may simulate: about a quarter of an hour at
+# the simulator's roughly 13 ns per flip (k = 6; 20 ns at k = 1).
 SIMULATION_FLIP_CAP = 1 << 36
 
 # Most passes one call may make, each pass flipping one coin for
-# every live trial of a block: about 21 minutes at roughly 19 us per
+# every live trial of a block: about 11 minutes at roughly 10 us per
 # pass, which is what a pass costs when few trials are left alive.
 SIMULATION_PASS_CAP = 1 << 26
 
@@ -105,19 +107,19 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
     sequences with no k-run at all.  Together they partition 2**n.
     """
     _check_enum_args(k, n)
+    if k > n:
+        return (0,) * (n + 1), 1 << n
     import numpy as np
-    ends = np.zeros(n + 1, dtype=np.int64)
-    no_run = 0
+    bins = np.zeros(65, dtype=np.int64)
     for lo in range(0, 1 << n, _ENUM_CHUNK):
-        x = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << n), dtype=np.int64)
+        # unsigned words: np.bitwise_count counts the bits of |x|
+        x = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << n), dtype=np.uint64)
         runs = _run_end_bits(x, k)
-        hit = runs != 0
-        no_run += int(runs.size - np.count_nonzero(hit))
-        low_bits = runs[hit] & -runs[hit]
-        # positions are exact powers of two below 2**24, safe in float64
-        positions = np.log2(low_bits.astype(np.float64)).astype(np.int64)
-        ends += np.bincount(positions + k, minlength=n + 1)
-    return tuple(int(c) for c in ends), no_run
+        # t trailing zeros end the first run at trial k + t; a word
+        # without a run wraps to 0 - 1, all 64 bits set
+        bins += np.bincount(np.bitwise_count((runs & -runs) - 1), minlength=65)
+    hist = [int(c) for c in bins]
+    return tuple([0] * k + hist[: n - k + 1]), hist[64]
 
 
 def enumerate_counts(k: int, n: int) -> int:
@@ -223,37 +225,29 @@ def check_budget(configs) -> None:
 def _partition_totals(
     k: int, threshold, n_trials: int, max_steps: int, rng
 ) -> tuple[int, int, int, int]:
-    # Flip one coin per active trial per pass; drop trials as they
-    # complete or hit the cap. Totals are exact Python ints.
+    # Flip one coin per live trial per pass and drop trials as they
+    # complete.  All trials start on the first pass, so every live trial
+    # has made ``step`` flips.  Totals are exact Python ints, and a run
+    # of heads stops at k <= 64, so int8 holds it.
     import numpy as np
-    run = np.zeros(n_trials, dtype=np.int64)
-    steps = np.zeros(n_trials, dtype=np.int64)
+    run = np.zeros(n_trials, dtype=np.int8)
     completed = 0
     total = 0
     total_sq = 0
-    truncated = 0
-    while run.size:
+    step = 0
+    while run.size and step < max_steps:
         draws = rng.integers(0, 1 << 64, size=run.size, dtype=np.uint64)
-        heads = draws < threshold
-        steps += 1
+        step += 1
         run += 1
-        run[~heads] = 0
+        run[draws >= threshold] = 0  # tails
         done = run >= k
         n_done = int(np.count_nonzero(done))
         if n_done:
-            lengths = steps[done]
             completed += n_done
-            total += int(lengths.sum())
-            total_sq += int((lengths * lengths).sum())
-        live = ~done
-        capped = live & (steps >= max_steps)
-        n_capped = int(np.count_nonzero(capped))
-        truncated += n_capped
-        if n_done or n_capped:
-            keep = live & ~capped
-            run = run[keep]
-            steps = steps[keep]
-    return completed, total, total_sq, truncated
+            total += n_done * step
+            total_sq += n_done * step * step
+            run = run[~done]
+    return completed, total, total_sq, run.size
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -276,9 +270,6 @@ def simulate(config: SimConfig) -> SimReport:
     import numpy as np
     p = config.success_prob
     threshold = np.uint64((p.numerator << 64) // p.denominator)
-    # int64 step counters cannot reach 2**62 anyway; clamping keeps the
-    # numpy comparison in range for caps like 1000 * 2**64
-    step_cap = min(config.max_steps_per_trial, 1 << 62)
     completed = 0
     total = 0
     total_sq = 0
@@ -292,7 +283,7 @@ def simulate(config: SimConfig) -> SimReport:
             config.k,
             threshold,
             block,
-            step_cap,
+            config.max_steps_per_trial,
             np.random.Generator(np.random.PCG64(seq)),
         )
         completed += c

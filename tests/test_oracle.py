@@ -106,13 +106,18 @@ def test_enumerate_counts_caps_and_domain():
         enumerate_counts(0, 4)
 
 
-@pytest.mark.parametrize("k, n", [(1, 10), (2, 12), (3, 14), (4, 14)])
+@pytest.mark.parametrize(
+    "k, n", [(1, 10), (2, 12), (3, 14), (4, 14), (3, 17), (6, 4)]
+)
 def test_histogram_partitions_the_sample_space(k, n):
-    """First-run end positions plus run-free sequences partition 2**n."""
+    """First-run end positions plus run-free sequences partition 2**n.
+    n = 17 spans several enumeration chunks; k > n leaves no run at all."""
     ends, no_run = enumerate_first_run_histogram(k, n)
     assert len(ends) == n + 1
     assert sum(ends) + no_run == 1 << n
     assert all(c == 0 for c in ends[:k])
+    if k > n:
+        assert no_run == 1 << n
     # Each end-at-m bucket extends a length-m completion arbitrarily.
     for m in range(1, n + 1):
         assert ends[m] == enumerate_counts(k, m) << (n - m)
@@ -184,6 +189,16 @@ def test_simulate_over_budget_refused_before_drawing(monkeypatch):
         "simulation needs about 2^41 coin flips, over the budget of 2^36 "
         "(trials x min(max steps, mean trial length))"
     )
+
+
+def test_simulate_step_cap_beyond_64_bits():
+    """A cap no 64-bit counter can hold changes nothing when it never binds."""
+    default = SimConfig(k=2, success_prob=HALF, trials=3_000, seed=21)
+    huge = SimConfig(
+        k=2, success_prob=HALF, trials=3_000, seed=21,
+        max_steps_per_trial=1000 * 2**64,
+    )
+    assert simulate(huge) == simulate(default)
 
 
 def test_simulate_is_deterministic():
