@@ -340,17 +340,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps_per_trial=args.max_steps,
     )
-    report = oracle.simulate(config)
-    rows = [
-        {
-            "completed_trials": report.completed_trials,
-            "truncated_trials": report.truncated_trials,
-            "sample_mean": report.sample_mean,
-            "sample_variance": report.sample_variance,
-            "seed": report.seed,
-            "rng_algorithm": report.rng_algorithm,
-        }
-    ]
+    # The report's fields, in order, are the row's columns.
+    rows = [vars(oracle.simulate(config))]
     _emit(
         "simulate",
         {

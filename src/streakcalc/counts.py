@@ -25,7 +25,7 @@ from decimal import (
     InvalidOperation, Overflow, Rounded,
 )
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import cycle, islice, pairwise
 
 from .errors import CapacityError, DomainError
 
@@ -283,6 +283,5 @@ def ratio_diagnostic(spec: RunSpec, n_max: int) -> list[Fraction]:
             f"n_max must exceed the run length to form ratios, "
             f"got n_max={n_max} with k={spec.k}"
         )
-    table = build_count_table(spec, n_max)
-    v = table.values
-    return [Fraction(v[i + 1], 2 * v[i]) for i in range(spec.k, n_max)]
+    counts = islice(_stream(spec.k, n_max), spec.k, None)  # c(k..n_max)
+    return [Fraction(b, 2 * a) for a, b in pairwise(counts)]

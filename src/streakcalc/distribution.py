@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 from .counts import (
-    RunSpec, _jump_count, _partial_sum, build_count_table, count_at,
+    RunSpec, _jump_count, _partial_sum, _stream, build_count_table, count_at,
 )
 from .errors import DomainError
 
@@ -59,23 +60,23 @@ def pmf(spec: RunSpec, n: int) -> Fraction:
 def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
     """Rows for n = 1..n_max with exact running cumulative probability.
 
-    The cumulative column is built from an integer accumulator at scale
-    ``2**n`` (cum(n) = 2 cum(n-1) + c(n)), one bigint op per row rather
-    than repeated re-summation.  The final cumulative is always < 1:
-    total mass 1 is reached only in the limit.
+    The counts are folded as they stream, and the cumulative column is
+    built from an integer accumulator at scale ``2**n`` (cum(n) =
+    2 cum(n-1) + c(n)), one bigint op per row rather than repeated
+    re-summation.  The final cumulative is always < 1: total mass 1 is
+    reached only in the limit.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    values = build_count_table(spec, n_max).values
     rows = []
     cum_scaled = 0  # cumulative numerator at denominator 2**n
-    for n in range(1, n_max + 1):
-        cum_scaled = 2 * cum_scaled + values[n]
+    for n, c in enumerate(islice(_stream(spec.k, n_max), 1, None), 1):
+        cum_scaled = 2 * cum_scaled + c
         rows.append(
             PmfRow(
                 n=n,
-                count=values[n],
-                mass=_dyadic(values[n], n),
+                count=c,
+                mass=_dyadic(c, n),
                 cumulative=_dyadic(cum_scaled, n),
             )
         )

@@ -29,9 +29,9 @@ ENUMERATION_CAP = 24
 # temporaries are faulted in afresh, page by page, on every allocation.
 _ENUM_CHUNK = 1 << 14
 
-# Trials are partitioned into fixed-size blocks; each block draws from
-# its own child stream of the seed, so results do not depend on how the
-# blocks would be scheduled across workers.
+# Trials are partitioned into fixed-size blocks, and block i draws from
+# the child stream seeded by (seed, i): its draws depend only on the seed
+# and i, not on how many coins the other blocks flip.
 PARTITION_SIZE = 1 << 16
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -61,6 +61,14 @@ def _iter_heads(outcomes) -> Iterator[bool]:
             yield bool(item)
 
 
+def _check_positive(value, what: str) -> None:
+    # RunSpec's checks, without its cap: a k beyond any n finds no run.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1, got {value}")
+
+
 def first_run_index(outcomes, k: int) -> int | None:
     """1-based trial at which the first run of k heads is completed.
 
@@ -68,8 +76,7 @@ def first_run_index(outcomes, k: int) -> int | None:
     truthy-for-heads values.  Returns None when no k-run occurs.
     Single left-to-right scan keeping the current head-run length.
     """
-    if k < 1:
-        raise DomainError(f"run length must be >= 1, got {k}")
+    _check_positive(k, "run length")
     run = 0
     for i, heads in enumerate(_iter_heads(outcomes), start=1):
         run = run + 1 if heads else 0
@@ -79,10 +86,8 @@ def first_run_index(outcomes, k: int) -> int | None:
 
 
 def _check_enum_args(k: int, n: int) -> None:
-    if k < 1:
-        raise DomainError(f"run length must be >= 1, got {k}")
-    if n < 1:
-        raise DomainError(f"sequence length must be >= 1, got {n}")
+    _check_positive(k, "run length")
+    _check_positive(n, "sequence length")
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at 2**{ENUMERATION_CAP} sequences, "
@@ -92,10 +97,14 @@ def _check_enum_args(k: int, n: int) -> None:
 
 def _run_end_bits(x, k: int):
     # Bit b of the result is set iff bits b..b+k-1 of x are all set,
-    # i.e. a k-run of heads ends at trial b+k.
-    runs = x.copy()
-    for j in range(1, k):
-        runs &= x >> j
+    # i.e. a k-run of heads ends at trial b+k.  Bit b of ``runs`` covers
+    # bits b..b+span-1; each pass widens that span by up to its own
+    # length, so ceil(log2 k) passes reach k.
+    runs, span = x, 1
+    while span < k:
+        s = min(span, k - span)
+        runs = runs & (runs >> s)
+        span += s
     return runs
 
 
@@ -270,28 +279,19 @@ def simulate(config: SimConfig) -> SimReport:
     import numpy as np
     p = config.success_prob
     threshold = np.uint64((p.numerator << 64) // p.denominator)
-    completed = 0
-    total = 0
-    total_sq = 0
-    truncated = 0
-    remaining = config.trials
-    index = 0
-    while remaining:
-        block = min(PARTITION_SIZE, remaining)
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        c, t, tsq, tr = _partition_totals(
+    blocks = [
+        _partition_totals(
             config.k,
             threshold,
-            block,
+            min(PARTITION_SIZE, config.trials - lo),
             config.max_steps_per_trial,
-            np.random.Generator(np.random.PCG64(seq)),
+            np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+            )),
         )
-        completed += c
-        total += t
-        total_sq += tsq
-        truncated += tr
-        remaining -= block
-        index += 1
+        for index, lo in enumerate(range(0, config.trials, PARTITION_SIZE))
+    ]
+    completed, total, total_sq, truncated = map(sum, zip(*blocks))
     if completed == 0:
         mean = 0.0
         variance = 0.0

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from streakcalc.counts import RunSpec
+from streakcalc import counts, distribution
+from streakcalc.counts import (
+    TABLE_CAP_ENV, RunSpec, build_count_table, ratio_diagnostic,
+)
 from streakcalc.distribution import (
     _dyadic,
     pmf,
@@ -12,7 +15,7 @@ from streakcalc.distribution import (
     tail_mass,
     truncated_expectation,
 )
-from streakcalc.errors import DomainError
+from streakcalc.errors import CapacityError, DomainError
 from streakcalc.oracle import enumerate_counts
 
 
@@ -81,6 +84,37 @@ def test_pmf_table_row_consistency(k):
         running += row.mass
         assert row.cumulative == running
     assert rows[-1].cumulative < 1
+
+
+def _no_table(*args):
+    raise AssertionError("built a count table")
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_pmf_table_and_ratios_build_no_table(monkeypatch, k):
+    """Both fold the count stream: with every table build made to fail
+    they give the rows and ratios read off a table built beforehand."""
+    n_max = 3 * k + 40
+    c = build_count_table(RunSpec(k), n_max).values
+    mass = [Fraction(c[n], 2**n) for n in range(n_max + 1)]
+    rows = [(n, c[n], mass[n], sum(mass[: n + 1])) for n in range(1, n_max + 1)]
+    ratios = [Fraction(c[i + 1], 2 * c[i]) for i in range(k, n_max)]
+    monkeypatch.setattr(counts, "build_count_table", _no_table)
+    monkeypatch.setattr(distribution, "build_count_table", _no_table)
+    got = pmf_table(RunSpec(k), n_max)
+    assert [(r.n, r.count, r.mass, r.cumulative) for r in got] == rows
+    assert ratio_diagnostic(RunSpec(k), n_max) == ratios
+
+
+@pytest.mark.parametrize("query", [pmf_table, ratio_diagnostic], ids=lambda q: q.__name__)
+def test_pmf_table_and_ratios_refused_before_any_count(monkeypatch, query):
+    """The table cap holds for both folds, and is checked before the
+    stream makes its first count."""
+    monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+    assert len(query(RunSpec(3), 999)) > 0
+    monkeypatch.setattr(counts, "_ring", _no_table)
+    with pytest.raises(CapacityError):
+        query(RunSpec(3), 1000)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 64, 3000])

@@ -60,6 +60,32 @@ def test_first_run_index_rejects_bad_inputs():
         first_run_index("xh", 1)
 
 
+@pytest.mark.parametrize(
+    "query, args, what",
+    [
+        (first_run_index, ("hhh", 2.5), "run length"),
+        (first_run_index, ("hhh", True), "run length"),
+        (enumerate_first_run_histogram, (2.5, 10), "run length"),
+        (enumerate_first_run_histogram, (True, 10), "run length"),
+        (enumerate_first_run_histogram, (3, 10.0), "sequence length"),
+        (enumerate_first_run_histogram, (3, True), "sequence length"),
+        (enumerate_counts, (3, "10"), "sequence length"),
+    ],
+)
+def test_oracle_entry_points_reject_non_integers(query, args, what):
+    """k and n must be ints, as for RunSpec: a float or a bool is refused,
+    not compared as if it were a count."""
+    with pytest.raises(DomainError, match=f"^{what} must be an integer, got "):
+        query(*args)
+
+
+def test_oracle_run_length_has_no_cap():
+    """Unlike RunSpec, the oracle takes any positive k: beyond n there is
+    no run."""
+    assert first_run_index("h" * 70, 65) == 65
+    assert enumerate_first_run_histogram(65, 10) == ((0,) * 11, 1 << 10)
+
+
 def test_first_run_index_bounds():
     """The result is never below k and never beyond the sequence length."""
     for k in range(1, 5):
@@ -104,6 +130,28 @@ def test_enumerate_counts_caps_and_domain():
         enumerate_counts(2, 0)
     with pytest.raises(DomainError):
         enumerate_counts(0, 4)
+
+
+def test_run_end_bits_match_the_naive_shifts():
+    """Doubling the covered span gives the bits of k - 1 single shifts,
+    for every k the words can hold."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    ones = (1 << 64) - 1
+    edge = [0, ones, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA]
+    edge += [((1 << m) - 1) << s & ones for m in range(1, 65) for s in range(0, 64, 7)]
+    x = np.concatenate([
+        np.array(edge, dtype=np.uint64),
+        rng.integers(0, 1 << 64, size=20_000, dtype=np.uint64),
+        # words with most bits set, where long runs are common
+        np.bitwise_or.reduce(rng.integers(0, 1 << 64, size=(4, 5_000), dtype=np.uint64)),
+    ])
+    for k in range(1, 65):
+        naive = x.copy()
+        for j in range(1, k):
+            naive &= x >> np.uint64(j)
+        assert np.array_equal(oracle._run_end_bits(x, k), naive), k
 
 
 @pytest.mark.parametrize(
