@@ -31,19 +31,25 @@ _ENUM_CHUNK = 1 << 14
 
 # Trials are partitioned into fixed-size blocks, and block i draws from
 # the child stream seeded by (seed, i): its draws depend only on the seed
-# and i, not on how many coins the other blocks flip.
-PARTITION_SIZE = 1 << 16
+# and i, not on how many coins the other blocks flip.  2**14 trials keep
+# each working array at 128 KiB, for the reason given at _ENUM_CHUNK.
+PARTITION_SIZE = 1 << 14
 
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64-planes"
 
-# Most coin flips one call may simulate: about a quarter of an hour at
-# the simulator's roughly 13 ns per flip (k = 6; 20 ns at k = 1).
+# Most coin flips one call may simulate, counted as check_budget does:
+# about 2 minutes at k = 6, where a flip costs under 2 ns, and the most
+# at k = 1, where a trial spends a whole 64-flip word on its 2 or 3
+# counted flips: 20-30 minutes for the fair coin (17-25 ns per counted
+# flip) and close to an hour at a p whose binary expansion runs on, such
+# as 9/10 or 999/1000, whose words take about 8 planes (43-47 ns).
 SIMULATION_FLIP_CAP = 1 << 36
 
-# Most passes one call may make, each pass flipping one coin for
-# every live trial of a block: about 11 minutes at roughly 10 us per
-# pass, which is what a pass costs when few trials are left alive.
-SIMULATION_PASS_CAP = 1 << 26
+# Most passes one call may make, each pass giving every live trial of a
+# block one 64-flip word: about 14 minutes at roughly 100 us per pass,
+# which is what a pass costs at p = 1/3 once few trials are left alive
+# (about 60 us for the fair coin, whose words take one plane, not ~8).
+SIMULATION_PASS_CAP = 1 << 23
 
 
 def _iter_heads(outcomes) -> Iterator[bool]:
@@ -61,10 +67,14 @@ def _iter_heads(outcomes) -> Iterator[bool]:
             yield bool(item)
 
 
-def _check_positive(value, what: str) -> None:
-    # RunSpec's checks, without its cap: a k beyond any n finds no run.
+def _check_int(value, what: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_positive(value, what: str) -> None:
+    # RunSpec's checks, without its cap: a k beyond any n finds no run.
+    _check_int(value, what)
     if value < 1:
         raise DomainError(f"{what} must be >= 1, got {value}")
 
@@ -176,13 +186,14 @@ class SimConfig:
             raise DomainError(
                 f"success probability must lie in (0, 1), got {self.success_prob}"
             )
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        _check_positive(self.trials, "trials")
+        _check_int(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
         if self.max_steps_per_trial is None:
             cap = 1000 * math.ceil(1 / self.success_prob**self.k)
             object.__setattr__(self, "max_steps_per_trial", cap)
+        _check_int(self.max_steps_per_trial, "max_steps_per_trial")
         if self.max_steps_per_trial < self.k:
             raise DomainError(
                 f"max_steps_per_trial must be >= k, got {self.max_steps_per_trial}"
@@ -208,8 +219,9 @@ def check_budget(configs) -> None:
 
     A trial flips min(max steps, X) coins, X the waiting time, whose mean
     is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
-    flips are estimated as trials times L, and the passes, each flipping
-    one coin for every live trial of a block, as blocks times L.
+    flips are estimated as trials times L, and the passes, each giving
+    every live trial of a block one 64-flip word, as blocks times
+    ceil(L / 64).
     """
     flips = 0
     passes = 0
@@ -218,45 +230,100 @@ def check_budget(configs) -> None:
         mean = (1 - p**k) / ((1 - p) * p**k)
         length = min(config.max_steps_per_trial, math.ceil(mean))
         flips += config.trials * length
-        passes += -(-config.trials // PARTITION_SIZE) * length
-    for need, cap, what, per in (
-        (flips, SIMULATION_FLIP_CAP, "coin flips", "trials"),
-        (passes, SIMULATION_PASS_CAP, "passes", "trial blocks"),
+        passes += -(-config.trials // PARTITION_SIZE) * -(-length // 64)
+    for need, cap, what, estimate in (
+        (flips, SIMULATION_FLIP_CAP, "coin flips",
+         "trials x min(max steps, mean trial length)"),
+        (passes, SIMULATION_PASS_CAP, "passes",
+         "trial blocks x min(max steps, mean trial length) / 64"),
     ):
         if need > cap:
             raise CapacityError(
                 f"simulation needs about 2^{math.log2(need):.0f} {what}, over "
                 f"the budget of 2^{math.log2(cap):.0f} "
-                f"({per} x min(max steps, mean trial length))"
+                f"({estimate})"
             )
 
 
-def _partition_totals(
-    k: int, threshold, n_trials: int, max_steps: int, rng
-) -> tuple[int, int, int, int]:
-    # Flip one coin per live trial per pass and drop trials as they
-    # complete.  All trials start on the first pass, so every live trial
-    # has made ``step`` flips.  Totals are exact Python ints, and a run
-    # of heads stops at k <= 64, so int8 holds it.
+def _heads(bitgen, threshold: int, size: int):
+    # Bit i of word j is heads for flip i of trial j: heads iff a uniform
+    # 64-bit U is below threshold.  Each random word is one bit-plane of
+    # the 64 U's, most significant first, and a plane decides every
+    # flip whose U still matches the threshold so far.  Once no set bit
+    # of the threshold is left below the plane, no undecided U can fall
+    # under it, so the fair coin takes one plane and p = a / 2**m at
+    # most m.  Otherwise a word takes about 8 planes to decide all its
+    # flips, the slowest word of a block about 21, so the words ``live``
+    # still drawing planes shrink to the undecided ones whenever those
+    # fall to half: taking them out costs about as much per word as a
+    # plane, so doing it every plane would gain nothing.  ``live`` is a
+    # slice of every word until then, which keeps the first plane free
+    # of index arithmetic.
     import numpy as np
-    run = np.zeros(n_trials, dtype=np.int8)
+    heads = np.zeros(size, dtype=np.uint64)
+    undecided = ~heads
+    live = np.s_[:]
+    for bit in range(63, -1, -1):
+        plane = bitgen.random_raw(undecided.size)
+        if threshold >> bit & 1:
+            heads[live] |= undecided & ~plane
+            undecided &= plane
+        else:
+            undecided &= ~plane
+        if not threshold % (1 << bit):
+            break
+        n = np.count_nonzero(undecided)
+        if not n:
+            break
+        if 2 * n <= undecided.size:
+            keep = np.flatnonzero(undecided)
+            live, undecided = np.arange(size)[live][keep], undecided[keep]
+    return heads
+
+
+def _partition_totals(
+    k: int, threshold: int, n_trials: int, max_steps: int, bitgen
+) -> tuple[int, int, int, int]:
+    # Give every live trial one 64-flip word per pass and drop trials as
+    # they complete.  A trial carries in the heads it has run so far,
+    # r < k, as the single bit k - r - 1 of ``carry``: it completes at
+    # flip k - r of the word if the word's trailing heads reach that
+    # bit, and otherwise at the first run inside the word.  Bit b of
+    # ``ends`` marks a run ending at the word's flip b + 1, so its lowest
+    # set bit is the trial's first completion.  numpy holds only offsets
+    # within a pass; the steps base + offset and their moments are
+    # formed as exact Python ints.
+    import numpy as np
+    carry = np.full(n_trials, 1 << (k - 1), dtype=np.uint64)
     completed = 0
     total = 0
     total_sq = 0
-    step = 0
-    while run.size and step < max_steps:
-        draws = rng.integers(0, 1 << 64, size=run.size, dtype=np.uint64)
-        step += 1
-        run += 1
-        run[draws >= threshold] = 0  # tails
-        done = run >= k
-        n_done = int(np.count_nonzero(done))
-        if n_done:
-            completed += n_done
-            total += n_done * step
-            total_sq += n_done * step * step
-            run = run[~done]
-    return completed, total, total_sq, run.size
+    base = 0
+    while carry.size and base < max_steps:
+        word = _heads(bitgen, threshold, carry.size)
+        ends = _run_end_bits(word, k) << (k - 1)
+        ends |= word & ~(word + 1) & carry
+        # the trailing-zero count of a word without a run is 64
+        offset = np.bitwise_count((ends & -ends) - 1) + 1
+        done = offset <= min(64, max_steps - base)
+        hits = offset[done].astype(np.int64)
+        if hits.size:
+            n, s1, s2 = hits.size, int(hits.sum()), int(hits @ hits)
+            completed += n
+            total += n * base + s1
+            total_sq += n * base * base + 2 * base * s1 + s2
+            word = word[~done]
+        # A live trial's word ends in r < k heads, so its last k flips
+        # hold a tail, the highest at bit k - r - 1 of ``tails``: smear
+        # it down through the bits below and keep that bit alone.
+        tails = ~word >> (64 - k)
+        span = 1
+        while span < k:
+            tails |= tails >> span
+            span *= 2
+        carry = tails ^ (tails >> 1)
+        base += 64
+    return completed, total, total_sq, carry.size
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -269,25 +336,26 @@ def simulate(config: SimConfig) -> SimReport:
     draws from the PCG64 stream seeded by ``(seed, i)``, and the block
     totals merge by plain integer addition, independent of ordering.
 
-    Heads is drawn by comparing a uniform 64-bit integer against
-    ``floor(p * 2**64)``: exact for any p with a power-of-two
-    denominator (in particular the fair coin), off by less than 2**-64
-    otherwise.  Runs over the budget of :func:`check_budget` are
-    refused before any coin is drawn.
+    Each pass gives every live trial one word of 64 flips.  A flip is
+    heads when a uniform 64-bit integer, read one bit-plane per raw
+    PCG64 word, lies below ``floor(p * 2**64)``: exact for any p with a
+    power-of-two denominator (the fair coin takes one raw word per 64
+    flips), off by less than 2**-64 otherwise.  Runs over the budget of
+    :func:`check_budget` are refused before any coin is drawn.
     """
     check_budget([config])
     import numpy as np
     p = config.success_prob
-    threshold = np.uint64((p.numerator << 64) // p.denominator)
+    threshold = (p.numerator << 64) // p.denominator
     blocks = [
         _partition_totals(
             config.k,
             threshold,
             min(PARTITION_SIZE, config.trials - lo),
             config.max_steps_per_trial,
-            np.random.Generator(np.random.PCG64(
+            np.random.PCG64(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-            )),
+            ),
         )
         for index, lo in enumerate(range(0, config.trials, PARTITION_SIZE))
     ]

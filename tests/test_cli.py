@@ -237,7 +237,7 @@ def test_simulate_single_trial(capsys):
     row = envelope["rows"][0]
     assert row["completed_trials"] + row["truncated_trials"] == 1
     assert row["seed"] == 9
-    assert row["rng_algorithm"] == "numpy-pcg64"
+    assert row["rng_algorithm"] == "numpy-pcg64-planes"
     assert envelope["parameters"]["p"] == "1/2"
 
 
@@ -272,7 +272,7 @@ def test_simulate_csv_format(capsys):
         "completed_trials,truncated_trials,sample_mean,sample_variance,"
         "seed,rng_algorithm"
     )
-    assert lines[1].endswith("numpy-pcg64")
+    assert lines[1].endswith("numpy-pcg64-planes")
 
 
 class CoinsDrawn(Exception):
@@ -314,7 +314,7 @@ def test_simulation_over_pass_budget_refused_before_drawing(capsys, monkeypatch,
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_CAPACITY, "")
     assert err.startswith("streakcalc: capacity error: ")
-    assert err.count("\n") == 1 and "passes" in err and "2^26" in err
+    assert err.count("\n") == 1 and "passes" in err and "2^23" in err
 
 
 def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """Tests for the enumeration and simulation ground truth.
 
 The vectorized exhaustion is itself cross-checked here against a naive
-per-sequence scan built on first_run_index, so the two oracle routes
-vouch for each other before they are used to vouch for anything else.
+per-sequence scan built on first_run_index, and the simulator's word
+kernel against a flip-by-flip replay built on it, so the two oracle
+routes vouch for each other before they are used to vouch for anything
+else.
 """
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -213,6 +217,19 @@ def test_sim_config_validation():
         SimConfig(k=1, success_prob=HALF, trials=10, seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", True), ("trials", 1.5), ("seed", 1.5), ("max_steps_per_trial", 10.5)],
+)
+def test_sim_config_rejects_non_integers(field, value):
+    """A bool or a float is refused, not compared as if it were a count:
+    trials=True simulated one trial and max_steps_per_trial=10.5 ran
+    with a fractional cap."""
+    fields = {"k": 2, "success_prob": HALF, "trials": 10, "seed": 1, field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value!r}$"):
+        SimConfig(**fields)
+
+
 def test_sim_config_defaults_step_cap():
     config = SimConfig(k=3, success_prob=HALF, trials=10, seed=1)
     assert config.max_steps_per_trial == 1000 * 2**3
@@ -247,6 +264,182 @@ def test_simulate_step_cap_beyond_64_bits():
         max_steps_per_trial=1000 * 2**64,
     )
     assert simulate(huge) == simulate(default)
+
+
+class _ScriptedBits:
+    """Stands in for PCG64: ``random_raw`` hands out the scripted words
+    in order."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+        self.drawn = 0
+
+    def random_raw(self, size):
+        import numpy as np
+
+        self.drawn += size
+        return np.fromiter(itertools.islice(self.words, size), np.uint64, count=size)
+
+
+def _replay_heads(threshold, n_words, words):
+    """Reference for ``_heads`` in plain Python: reads one word per
+    plane for every drawing lane in turn and decides each flip by
+    comparing its bits of U with the threshold's, most significant
+    first.  Every lane draws at first; once at most half of the drawing
+    lanes hold an undecided flip, only those draw on.  Returns each
+    lane's 64 flips (True for heads) and the number of words read."""
+    flips = [[None] * 64 for _ in range(n_words)]
+    drawing = list(range(n_words))
+    drawn = 0
+    for bit in range(63, -1, -1):
+        want = threshold >> bit & 1
+        for lane in drawing:
+            plane = next(words)
+            drawn += 1
+            for i in range(64):
+                got = plane >> i & 1
+                if flips[lane][i] is None and got != want:
+                    flips[lane][i] = got < want
+        # below the threshold's last set bit, an undecided U is not less
+        if threshold % (1 << bit) == 0:
+            break
+        undecided = [lane for lane in drawing if None in flips[lane]]
+        if not undecided:
+            break
+        if 2 * len(undecided) <= len(drawing):
+            drawing = undecided
+    return [[heads is True for heads in lane] for lane in flips], drawn
+
+
+def _replay(k, threshold, n_trials, max_steps, words):
+    """Reference for ``_partition_totals`` in plain Python: each pass
+    decides 64 flips of every live trial with ``_replay_heads`` and
+    finds completions with ``first_run_index`` over the trial's whole
+    history."""
+    words = iter(words)
+    history = {lane: [] for lane in range(n_trials)}
+    steps = []
+    drawn = base = 0
+    while history and base < max_steps:
+        flips, n = _replay_heads(threshold, len(history), words)
+        drawn += n
+        base += 64
+        for lane, more in zip(list(history), flips):
+            history[lane] += more
+            step = first_run_index(history[lane], k)
+            if step is not None:
+                del history[lane]
+                if step <= max_steps:
+                    steps.append(step)
+    totals = (len(steps), sum(steps), sum(s * s for s in steps), n_trials - len(steps))
+    return totals, drawn
+
+
+ONES = (1 << 64) - 1
+FAIR = 1 << 63
+
+
+def _fair(heads):
+    # the fair coin's one plane: a flip is heads where the raw bit is 0
+    return [~h & ONES for h in heads]
+
+
+def _raw(seed, j):
+    # endless raw words whose bits are 1 with probability 2**-j; with the
+    # fair coin, flips that are heads with probability 1 - 2**-j
+    rng = random.Random(seed)
+    while True:
+        word = ONES
+        for _ in range(j):
+            word &= rng.getrandbits(64)
+        yield word
+
+
+@pytest.mark.parametrize(
+    "k, threshold, n_trials, max_steps, words",
+    [
+        # completions at flips 64 and 65, and a run carried from the
+        # first word that breaks at the second's first flip
+        (3, FAIR, 4, 1000, lambda: itertools.chain(
+            _fair([7 << 61, 3 << 62, 0b11 << 62, 1 << 63]),
+            _fair([1, 0b1110]), _raw(1, 1))),
+        (1, FAIR, 3, 1000, lambda: itertools.chain(
+            _fair([1 << 63, 0, 0]), _fair([0, 1]), _raw(2, 1))),
+        # runs carried across words at k = 40 and k = 64, from words
+        # whose flips are mostly heads, and a word of 64 heads
+        (40, FAIR, 12, 10**6, lambda: _raw(3, 5)),
+        (64, FAIR, 12, 10**6, lambda: _raw(4, 7)),
+        (64, FAIR, 3, 1000, lambda: itertools.chain(
+            _fair([ONES, ONES >> 1, ONES << 1 & ONES]), _fair([ONES, ONES]),
+            _raw(5, 7))),
+        # step caps around one and two words, and completions at flips
+        # 63, 64, 65 and 66 against each cap
+        *[(20, FAIR, 16, cap, lambda: _raw(6, 4)) for cap in (63, 64, 65, 127)],
+        *[(3, FAIR, 4, cap, lambda: itertools.chain(
+            _fair([7 << 60, 7 << 61, 3 << 62, 1 << 63]), _fair([1, 0b11]), _raw(7, 1)))
+          for cap in (63, 64, 65, 127)],
+        # dyadic p = 1/4 takes two planes; at p = 1/3 and 9/10 the
+        # drawing words shrink to the undecided ones, and planes stop
+        # once every flip of the block is decided
+        (3, 1 << 62, 16, 1000, lambda: _raw(9, 1)),
+        (2, 1 << 62, 8, 70, lambda: _raw(10, 2)),
+        (3, (1 << 64) // 3, 4, 1000, lambda: _raw(11, 1)),
+        (1, (9 << 64) // 10, 16, 1000, lambda: _raw(13, 1)),
+        (3, (1 << 64) // 3, 16, 1000, lambda: _raw(14, 1)),
+        # p below 2**-64 rounds the threshold to 0: every flip is tails
+        (1, 0, 2, 130, lambda: _raw(12, 1)),
+    ],
+)
+def test_partition_totals_match_a_flip_by_flip_replay(k, threshold, n_trials, max_steps, words):
+    """The word kernel's exact totals, and the words it draws, equal a
+    lane-by-lane replay of the same scripted words."""
+    bits = _ScriptedBits(words())
+    want, drawn = _replay(k, threshold, n_trials, max_steps, words())
+    assert oracle._partition_totals(k, threshold, n_trials, max_steps, bits) == want
+    assert bits.drawn == drawn
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [FAIR, 1 << 62, 5 << 60, (1 << 64) // 3, (9 << 64) // 10, (7 << 64) // 10],
+)
+def test_heads_match_a_bit_by_bit_comparison(threshold):
+    """Every heads bit, and the words drawn for it, equal a plain
+    comparison of the same scripted planes, also after the drawing
+    words have shrunk more than once."""
+    bits = _ScriptedBits(_raw(15, 1))
+    want, drawn = _replay_heads(threshold, 256, _raw(15, 1))
+    got = oracle._heads(bits, threshold, 256)
+    assert [[int(word) >> i & 1 == 1 for i in range(64)] for word in got] == want
+    assert bits.drawn == drawn
+
+
+def _exact_moments(k, p):
+    # mean and variance of the waiting time for k heads at heads rate p
+    q = 1 - p
+    mean = (1 - p**k) / (q * p**k)
+    var = (1 - (2 * k + 1) * q * p**k - p ** (2 * k + 1)) / (q**2 * p ** (2 * k))
+    return mean, var
+
+
+@pytest.mark.parametrize(
+    "k, p",
+    [(1, HALF), (3, HALF), (6, HALF),
+     (3, Fraction(1, 3)), (3, Fraction(1, 4)), (3, Fraction(7, 10))],
+)
+def test_simulate_moments_match_exact(k, p):
+    """At a fixed seed, the sample mean lies within 4 standard errors of
+    the exact mean and the sample variance within 5% of the exact one."""
+    trials = 100_000
+    report = simulate(SimConfig(k=k, success_prob=p, trials=trials, seed=2024 + k))
+    mean, var = _exact_moments(k, p)
+    assert report.truncated_trials == 0
+    assert abs(report.sample_mean - mean) < 4 * float(var / trials) ** 0.5
+    assert abs(report.sample_variance / float(var) - 1) < 0.05
+
+
+def test_exact_variance_examples():
+    assert [_exact_moments(k, HALF)[1] for k in (1, 2, 3)] == [2, 22, 142]
 
 
 def test_simulate_is_deterministic():

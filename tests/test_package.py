@@ -88,3 +88,21 @@ def test_demo_imports_resolve(demo):
     assert imported, f"{demo.name} imports nothing from streakcalc"
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_oracle_imports_no_other_route():
+    """The oracles stay independent ground truth: from the package they
+    take only the ``RunSpec`` validator and the error types, never the
+    recurrence or the closed forms."""
+    tree = ast.parse((ROOT / "src" / "streakcalc" / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "streakcalc" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "streakcalc"
+        ):
+            module = (node.module or "").removeprefix("streakcalc.")
+            imported |= {(module, alias.name) for alias in node.names}
+    assert {m for m, _ in imported} <= {"counts", "errors"}, imported
+    assert {n for m, n in imported if m == "counts"} == {"RunSpec"}, imported
