@@ -15,7 +15,7 @@ run of ``k`` consecutive heads:
 * :mod:`streakcalc.cli` - the ``streakcalc`` command.
 
 All probability arithmetic uses :class:`fractions.Fraction`.  numpy
-loads only when an oracle runs.
+loads only when the simulator runs.
 """
 
 from .counts import (

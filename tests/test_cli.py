@@ -260,6 +260,33 @@ def test_simulate_rejects_bad_probability(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "p, rendered",
+    [
+        ("1e5000", "1" + "0" * 5000),
+        # 1.1e2999 as 8000 digits over 10**4999: each part parses below
+        # the 4300-digit limit
+        ("1" * 4000 + "." + "0" * 3998 + "1e-1000",
+         "1" * 4000 + "0" * 3998 + "1/1" + "0" * 4999),
+    ],
+    ids=["1e5000", "5000-digit-denominator"],
+)
+def test_simulate_refuses_a_huge_probability_in_one_line(p, rendered):
+    """A p above 1 of any size ends in exit 2 and one stderr line that
+    renders it exactly, past str()'s 4300-digit limit, not a traceback."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcalc.cli", "simulate", "--k", "3", "--p", p],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == EXIT_USAGE, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"streakcalc: success probability must lie in (0, 1), got {rendered}\n"
+    )
+
+
 def test_simulate_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,

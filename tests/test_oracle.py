@@ -1,6 +1,6 @@
 """Tests for the enumeration and simulation ground truth.
 
-The vectorized exhaustion is itself cross-checked here against a naive
+The bit-sliced exhaustion is itself cross-checked here against a naive
 per-sequence scan built on first_run_index, and the simulator's word
 kernel against a flip-by-flip replay built on it, so the two oracle
 routes vouch for each other before they are used to vouch for anything
@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from streakcalc import distribution, oracle
-from streakcalc.counts import RunSpec
+from streakcalc.counts import RunSpec, build_count_table
 from streakcalc.errors import CapacityError, DomainError
 from streakcalc.oracle import (
     PARTITION_SIZE,
@@ -103,14 +103,18 @@ def test_first_run_index_bounds():
 # --- exhaustive enumeration --------------------------------------------
 
 
-def _scan_count(k: int, n: int) -> int:
+def _scan_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]:
     # Independent reference: test every integer-coded sequence by scan.
-    count = 0
+    ends = [0] * (n + 1)
+    no_run = 0
     for x in range(1 << n):
         bits = [(x >> i) & 1 for i in range(n)]
-        if first_run_index(bits, k) == n:
-            count += 1
-    return count
+        end = first_run_index(bits, k)
+        if end is None:
+            no_run += 1
+        else:
+            ends[end] += 1
+    return tuple(ends), no_run
 
 
 @pytest.mark.parametrize(
@@ -124,7 +128,7 @@ def test_enumerate_counts_examples(k, n, expected):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_enumerate_counts_matches_naive_scan(k):
     for n in range(1, 13):
-        assert enumerate_counts(k, n) == _scan_count(k, n), (k, n)
+        assert enumerate_counts(k, n) == _scan_histogram(k, n)[0][n], (k, n)
 
 
 def test_enumerate_counts_caps_and_domain():
@@ -163,7 +167,7 @@ def test_run_end_bits_match_the_naive_shifts():
 )
 def test_histogram_partitions_the_sample_space(k, n):
     """First-run end positions plus run-free sequences partition 2**n.
-    n = 17 spans several enumeration chunks; k > n leaves no run at all."""
+    k > n leaves no run at all."""
     ends, no_run = enumerate_first_run_histogram(k, n)
     assert len(ends) == n + 1
     assert sum(ends) + no_run == 1 << n
@@ -173,6 +177,33 @@ def test_histogram_partitions_the_sample_space(k, n):
     # Each end-at-m bucket extends a length-m completion arbitrarily.
     for m in range(1, n + 1):
         assert ends[m] == enumerate_counts(k, m) << (n - m)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_histogram_matches_a_naive_scan_across_chunks(monkeypatch, n):
+    """With chunks of 2, 4 and 8 sequences, so that the columns past the
+    first, second or third come from the chunk index, the histogram
+    equals a per-sequence scan, for every k up to n + 2."""
+    for k in range(1, n + 3):
+        reference = _scan_histogram(k, n)
+        for bits in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_ENUM_CHUNK_BITS", bits)
+            assert enumerate_first_run_histogram(k, n) == reference, (k, n, bits)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_histogram_chunking_beyond_one_chunk(monkeypatch, n):
+    """Past 2**16 sequences the default chunks split the columns too: the
+    histogram equals the one from 8-sequence chunks, and each bin m holds
+    the recurrence's count at m times its 2**(n - m) extensions."""
+    default = {k: enumerate_first_run_histogram(k, n) for k in (1, 2, 5, 16, 17, 20)}
+    for k, (ends, _) in default.items():
+        if k <= n:
+            counts = build_count_table(RunSpec(k), n).values
+            assert ends == tuple(c << (n - m) for m, c in enumerate(counts)), k
+    monkeypatch.setattr(oracle, "_ENUM_CHUNK_BITS", 3)
+    for k, got in default.items():
+        assert enumerate_first_run_histogram(k, n) == got, k
 
 
 @pytest.mark.parametrize(

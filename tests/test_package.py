@@ -26,6 +26,12 @@ names = {}
 exec("from streakcalc import *", names)
 assert set(streakcalc.__all__) <= set(names), "import * missed a name"
 assert "numpy" not in sys.modules, "importing the oracle loaded numpy"
+
+from streakcalc import oracle
+assert oracle.enumerate_counts(3, 12) == 149
+assert sum(oracle.enumerate_first_run_histogram(2, 10)[0]) == 1024 - 144
+assert oracle.enumerate_truncated_expectation(1, 2) == 1
+assert "numpy" not in sys.modules, "enumeration loaded numpy"
 """
 
 CLI_CHECK = """
@@ -37,7 +43,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert streakcalc.cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, argv
     assert streakcalc.cli.main(["verify", "--k-max", "2"]) == 0
-assert "numpy" in sys.modules, "verify ran no oracle"
+assert "numpy" not in sys.modules, "verify loaded numpy"
 """
 
 
@@ -52,13 +58,13 @@ def _fresh_interpreter(code):
 
 def test_exact_layer_imports_without_numpy():
     """In a fresh interpreter: importing every name of the package,
-    oracle names included, leaves numpy unloaded."""
+    oracle names included, and enumerating leave numpy unloaded."""
     _fresh_interpreter(IMPORT_CHECK)
 
 
 def test_exact_commands_run_without_numpy():
-    """In a fresh interpreter: ``counts`` and ``expect`` load no numpy,
-    and ``verify``, which runs the enumeration oracle, does."""
+    """In a fresh interpreter: ``counts``, ``expect`` and ``verify``,
+    which runs the enumeration oracle, load no numpy."""
     _fresh_interpreter(CLI_CHECK)
 
 
