@@ -3,8 +3,8 @@
 
 A seeded, reproducible simulator flips actual pseudo-random coins and
 must land within sampling error of the exact expectation 2(2**k - 1).
-Identical configs give byte-identical reports (PCG64 streams derived
-from (seed, block index), merged deterministically).
+Identical configs give byte-identical reports: every coin comes from
+one Mersenne Twister stream, ``random.Random(seed)``.
 """
 
 from fractions import Fraction

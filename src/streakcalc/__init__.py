@@ -14,8 +14,8 @@ run of ``k`` consecutive heads:
   enumeration and a seeded Monte Carlo simulator.
 * :mod:`streakcalc.cli` - the ``streakcalc`` command.
 
-All probability arithmetic uses :class:`fractions.Fraction`.  numpy
-loads only when the simulator runs.
+All probability arithmetic uses :class:`fractions.Fraction`, and the
+package needs nothing outside the standard library.
 """
 
 from .counts import (

@@ -38,8 +38,8 @@ EXIT_CAPACITY = 3
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return counts_mod.parse_digits(Fraction, text)
+    except (ValueError, ArithmeticError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (
@@ -39,14 +40,30 @@ DEFAULT_TABLE_CAP = 100_000
 TABLE_CAP_ENV = "STREAKCALC_TABLE_CAP"
 
 
+def parse_digits(parse, text: str):
+    """``parse(text)``, with ``parse`` ``int`` or ``Fraction``, for digit
+    strings of any length: their string conversion refuses more than
+    4300 digits in a row, and ``Decimal`` has no such limit.  Raises
+    ``ValueError`` or ``ArithmeticError`` for what ``parse`` rejects."""
+    try:
+        return parse(text)
+    except ValueError:
+        # the text parses iff it parses with each run of digits cut to
+        # one, which the limit never refuses
+        parse(re.sub(r"\d+", "1", text))
+    num, slash, den = text.partition("/")
+    value = Fraction(Decimal(num))
+    return parse(value / Fraction(Decimal(den)) if slash else value)
+
+
 def table_cap() -> int:
     """Current table capacity (entries), honoring the env override."""
     raw = os.environ.get(TABLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TABLE_CAP
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = parse_digits(int, raw)
+    except (ValueError, ArithmeticError):
         raise DomainError(f"{TABLE_CAP_ENV} must be an integer, got {raw!r}")
     if cap < 1:
         raise DomainError(f"{TABLE_CAP_ENV} must be positive, got {cap}")

@@ -4,9 +4,8 @@ Nothing in this module uses the count recurrence or the closed forms.
 Enumeration walks every binary sequence of a given length; the
 simulator flips actual (pseudo-random) coins.  Agreement between these
 routes and the analytic modules is what the test suite and the
-``verify`` command check.  Enumeration is pure Python; numpy is
-imported inside ``simulate`` alone, so importing this module, the CLI,
-or enumerating does not load it.
+``verify`` command check.  Both routes are pure Python: the simulator
+draws from the standard library's Mersenne Twister.
 
 Sequence encoding for enumeration: integers ``0 .. 2**n - 1`` with bit
 ``i`` holding the outcome of trial ``i + 1`` (1 = heads).
@@ -15,6 +14,7 @@ Sequence encoding for enumeration: integers ``0 .. 2**n - 1`` with bit
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -31,32 +31,23 @@ ENUMERATION_CAP = 24
 # of an ``oracles`` benchmark round (n = 21, best of 5, mean over its 18
 # run lengths; 2-core x86-64, CPython 3.11.7) took 21.4 ms with 2**12-
 # sequence chunks, 10.5 with 2**14, 8.1 with 2**16 and 17.7 with 2**18,
-# against 41.0 ms for numpy over 2**14-word arrays.
+# against 41.0 ms for numpy over 2**14-word arrays.  The simulator's
+# draws are at most 2**_ENUM_CHUNK_BITS bits, 8 KiB ints too.
 _ENUM_CHUNK_BITS = 16
 
-# Trials are partitioned into fixed-size blocks, and block i draws from
-# the child stream seeded by (seed, i): its draws depend only on the seed
-# and i, not on how many coins the other blocks flip.  2**14 trials keep
-# each working array at 128 KiB: glibc malloc reuses blocks that small,
-# while larger temporaries are faulted in afresh, page by page, on every
-# allocation.
-PARTITION_SIZE = 1 << 14
-
-RNG_ALGORITHM = "numpy-pcg64-planes"
+RNG_ALGORITHM = "mt19937-occupancy-planes"
 
 # Most coin flips one call may simulate, counted as check_budget does:
-# about 2 minutes at k = 6, where a flip costs under 2 ns, and the most
-# at k = 1, where a trial spends a whole 64-flip word on its 2 or 3
-# counted flips: 20-30 minutes for the fair coin (17-25 ns per counted
-# flip) and close to an hour at a p whose binary expansion runs on, such
-# as 9/10 or 999/1000, whose words take about 8 planes (43-47 ns).
+# about a minute where many trials share each step, at 0.5-1.2 ns a
+# counted flip.
 SIMULATION_FLIP_CAP = 1 << 36
 
-# Most passes one call may make, each pass giving every live trial of a
-# block one 64-flip word: about 14 minutes at roughly 100 us per pass,
-# which is what a pass costs at p = 1/3 once few trials are left alive
-# (about 60 us for the fair coin, whose words take one plane, not ~8).
-SIMULATION_PASS_CAP = 1 << 23
+# Most steps one call may take, each step flipping one coin for every
+# live trial: 7-9 minutes with one live trial, whose step costs 0.8-1.0
+# us at p = 1/2 and 1/3 (2-core x86-64, CPython 3.11.7).  A step draws
+# for each nonempty run class, so over a few hundred live trials it
+# costs several times that.
+SIMULATION_STEP_CAP = 1 << 29
 
 
 def _iter_heads(outcomes) -> Iterator[bool]:
@@ -112,19 +103,6 @@ def _check_enum_args(k: int, n: int) -> None:
         )
 
 
-def _run_end_bits(x, k: int):
-    # Bit b of the result is set iff bits b..b+k-1 of x are all set,
-    # i.e. a k-run of heads ends at trial b+k.  Bit b of ``runs`` covers
-    # bits b..b+span-1; each pass widens that span by up to its own
-    # length, so ceil(log2 k) passes reach k.
-    runs, span = x, 1
-    while span < k:
-        s = min(span, k - span)
-        runs = runs & (runs >> s)
-        span += s
-    return runs
-
-
 def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]:
     """Histogram of first k-run completion trials over all 2**n sequences.
 
@@ -154,8 +132,8 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
     ends = [0] * (n + 1)
     no_run = 0
     for chunk in range(1 << (n - c)):
-        # runs[t] is the AND of columns t..t + span - 1, as in
-        # _run_end_bits: each pass widens span by up to its own length.
+        # runs[t] is the AND of columns t..t + span - 1: each pass widens
+        # span by up to its own length, so ceil(log2 k) passes reach k.
         runs = low + [full if chunk >> t & 1 else 0 for t in range(n - c)]
         span = 1
         while span < k:
@@ -249,28 +227,26 @@ class SimReport:
 
 def check_budget(configs) -> None:
     """Refuse, before any coin is drawn, simulations that would flip more
-    than ``SIMULATION_FLIP_CAP`` coins or make more than
-    ``SIMULATION_PASS_CAP`` passes in all.
+    than ``SIMULATION_FLIP_CAP`` coins or take more than
+    ``SIMULATION_STEP_CAP`` steps in all.
 
     A trial flips min(max steps, X) coins, X the waiting time, whose mean
     is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
-    flips are estimated as trials times L, and the passes, each giving
-    every live trial of a block one 64-flip word, as blocks times
-    ceil(L / 64).
+    flips are estimated as trials times L, and the steps, each flipping
+    one coin for every live trial, as L.
     """
     flips = 0
-    passes = 0
+    steps = 0
     for config in configs:
         p, k = config.success_prob, config.k
         mean = (1 - p**k) / ((1 - p) * p**k)
         length = min(config.max_steps_per_trial, math.ceil(mean))
         flips += config.trials * length
-        passes += -(-config.trials // PARTITION_SIZE) * -(-length // 64)
+        steps += length
     for need, cap, what, estimate in (
         (flips, SIMULATION_FLIP_CAP, "coin flips",
          "trials x min(max steps, mean trial length)"),
-        (passes, SIMULATION_PASS_CAP, "passes",
-         "trial blocks x min(max steps, mean trial length) / 64"),
+        (steps, SIMULATION_STEP_CAP, "steps", "min(max steps, mean trial length)"),
     ):
         if need > cap:
             raise CapacityError(
@@ -280,85 +256,49 @@ def check_budget(configs) -> None:
             )
 
 
-def _heads(bitgen, threshold: int, size: int):
-    # Bit i of word j is heads for flip i of trial j: heads iff a uniform
-    # 64-bit U is below threshold.  Each random word is one bit-plane of
-    # the 64 U's, most significant first, and a plane decides every
-    # flip whose U still matches the threshold so far.  Once no set bit
-    # of the threshold is left below the plane, no undecided U can fall
-    # under it, so the fair coin takes one plane and p = a / 2**m at
-    # most m.  Otherwise a word takes about 8 planes to decide all its
-    # flips, the slowest word of a block about 21, so the words ``live``
-    # still drawing planes shrink to the undecided ones whenever those
-    # fall to half: taking them out costs about as much per word as a
-    # plane, so doing it every plane would gain nothing.  ``live`` is a
-    # slice of every word until then, which keeps the first plane free
-    # of index arithmetic.
-    import numpy as np
-    heads = np.zeros(size, dtype=np.uint64)
-    undecided = ~heads
-    live = np.s_[:]
-    for bit in range(63, -1, -1):
-        plane = bitgen.random_raw(undecided.size)
-        if threshold >> bit & 1:
-            heads[live] |= undecided & ~plane
-            undecided &= plane
-        else:
-            undecided &= ~plane
-        if not threshold % (1 << bit):
-            break
-        n = np.count_nonzero(undecided)
-        if not n:
-            break
-        if 2 * n <= undecided.size:
-            keep = np.flatnonzero(undecided)
-            live, undecided = np.arange(size)[live][keep], undecided[keep]
-    return heads
-
-
-def _partition_totals(
-    k: int, threshold: int, n_trials: int, max_steps: int, bitgen
+def _occupancy_totals(
+    k: int, threshold: int, trials: int, max_steps: int, getrandbits
 ) -> tuple[int, int, int, int]:
-    # Give every live trial one 64-flip word per pass and drop trials as
-    # they complete.  A trial carries in the heads it has run so far,
-    # r < k, as the single bit k - r - 1 of ``carry``: it completes at
-    # flip k - r of the word if the word's trailing heads reach that
-    # bit, and otherwise at the first run inside the word.  Bit b of
-    # ``ends`` marks a run ending at the word's flip b + 1, so its lowest
-    # set bit is the trial's first completion.  numpy holds only offsets
-    # within a pass; the steps base + offset and their moments are
-    # formed as exact Python ints.
-    import numpy as np
-    carry = np.full(n_trials, 1 << (k - 1), dtype=np.uint64)
-    completed = 0
-    total = 0
-    total_sq = 0
-    base = 0
-    while carry.size and base < max_steps:
-        word = _heads(bitgen, threshold, carry.size)
-        ends = _run_end_bits(word, k) << (k - 1)
-        ends |= word & ~(word + 1) & carry
-        # the trailing-zero count of a word without a run is 64
-        offset = np.bitwise_count((ends & -ends) - 1) + 1
-        done = offset <= min(64, max_steps - base)
-        hits = offset[done].astype(np.int64)
-        if hits.size:
-            n, s1, s2 = hits.size, int(hits.sum()), int(hits @ hits)
-            completed += n
-            total += n * base + s1
-            total_sq += n * base * base + 2 * base * s1 + s2
-            word = word[~done]
-        # A live trial's word ends in r < k heads, so its last k flips
-        # hold a tail, the highest at bit k - r - 1 of ``tails``: smear
-        # it down through the bits below and keep that bit alone.
-        tails = ~word >> (64 - k)
-        span = 1
-        while span < k:
-            tails |= tails >> span
-            span *= 2
-        carry = tails ^ (tails >> 1)
-        base += 64
-    return completed, total, total_sq, carry.size
+    # live[r] counts the live trials whose current run is r heads, for
+    # the nonempty classes in increasing r.  Each step flips one coin for
+    # every live trial, class by class.  A flip is heads when a uniform
+    # 64-bit U lies below the threshold; U is read one bit-plane at a
+    # time, most significant first, and a plane gives each undecided flip
+    # one random bit.  The flips whose bit differs from the threshold's
+    # are decided, and by symmetry their number is the popcount of the
+    # plane's bits: heads where the threshold's bit is 1.  Past its
+    # lowest set bit no undecided U can fall under it, so those are tails.
+    planes = format(threshold, "064b").rstrip("0")
+    chunk = 1 << _ENUM_CHUNK_BITS
+
+    def heads(undecided: int) -> int:
+        count = 0
+        for plane in planes:
+            decided, rest = 0, undecided
+            while rest > chunk:
+                decided += getrandbits(chunk).bit_count()
+                rest -= chunk
+            decided += getrandbits(rest).bit_count()
+            undecided -= decided
+            if plane == "1":
+                count += decided
+            if not undecided:
+                break
+        return count
+
+    live = {0: trials}
+    completed = total = total_sq = step = 0
+    while live and step < max_steps:
+        step += 1
+        # heads move up a class, the top class completes, tails restart
+        moved = {r + 1: h for r, n in live.items() if (h := heads(n))}
+        done = moved.pop(k, 0)
+        tails = trials - completed - done - sum(moved.values())
+        live = {0: tails, **moved} if tails else moved
+        completed += done
+        total += done * step
+        total_sq += done * step * step
+    return completed, total, total_sq, trials - completed
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -367,34 +307,27 @@ def simulate(config: SimConfig) -> SimReport:
     A trial flips until a k-run completes or ``max_steps_per_trial``
     flips have been made; capped trials are counted as truncated and
     excluded from the mean and variance.  Identical configs produce
-    identical reports: trials are split into fixed blocks, block ``i``
-    draws from the PCG64 stream seeded by ``(seed, i)``, and the block
-    totals merge by plain integer addition, independent of ordering.
+    identical reports: every bit comes from one Mersenne Twister stream,
+    ``random.Random(seed)``.
 
-    Each pass gives every live trial one word of 64 flips.  A flip is
-    heads when a uniform 64-bit integer, read one bit-plane per raw
-    PCG64 word, lies below ``floor(p * 2**64)``: exact for any p with a
-    power-of-two denominator (the fair coin takes one raw word per 64
-    flips), off by less than 2**-64 otherwise.  Runs over the budget of
-    :func:`check_budget` are refused before any coin is drawn.
+    Trials whose current run has the same length are exchangeable, so
+    the simulator keeps only how many live trials hold each run length,
+    and each step draws how many of them flip heads.  A flip is heads
+    when a uniform 64-bit integer, read one bit-plane at a time, lies
+    below ``floor(p * 2**64)``: exact for any p with a power-of-two
+    denominator (the fair coin takes one bit per flip), off by less than
+    2**-64 otherwise.  Runs over the budget of :func:`check_budget` are
+    refused before any coin is drawn.
     """
     check_budget([config])
-    import numpy as np
     p = config.success_prob
-    threshold = (p.numerator << 64) // p.denominator
-    blocks = [
-        _partition_totals(
-            config.k,
-            threshold,
-            min(PARTITION_SIZE, config.trials - lo),
-            config.max_steps_per_trial,
-            np.random.PCG64(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-            ),
-        )
-        for index, lo in enumerate(range(0, config.trials, PARTITION_SIZE))
-    ]
-    completed, total, total_sq, truncated = map(sum, zip(*blocks))
+    completed, total, total_sq, truncated = _occupancy_totals(
+        config.k,
+        (p.numerator << 64) // p.denominator,
+        config.trials,
+        config.max_steps_per_trial,
+        random.Random(config.seed).getrandbits,
+    )
     if completed == 0:
         mean = 0.0
         variance = 0.0

@@ -237,7 +237,7 @@ def test_simulate_single_trial(capsys):
     row = envelope["rows"][0]
     assert row["completed_trials"] + row["truncated_trials"] == 1
     assert row["seed"] == 9
-    assert row["rng_algorithm"] == "numpy-pcg64-planes"
+    assert row["rng_algorithm"] == "mt19937-occupancy-planes"
     assert envelope["parameters"]["p"] == "1/2"
 
 
@@ -260,6 +260,15 @@ def test_simulate_rejects_bad_probability(capsys):
     assert code == EXIT_USAGE
 
 
+def _run_process(*argv, **env):
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "streakcalc.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), **env),
+    )
+
+
 @pytest.mark.parametrize(
     "p, rendered",
     [
@@ -274,17 +283,34 @@ def test_simulate_rejects_bad_probability(capsys):
 def test_simulate_refuses_a_huge_probability_in_one_line(p, rendered):
     """A p above 1 of any size ends in exit 2 and one stderr line that
     renders it exactly, past str()'s 4300-digit limit, not a traceback."""
-    root = Path(__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", "streakcalc.cli", "simulate", "--k", "3", "--p", p],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-    )
+    result = _run_process("simulate", "--k", "3", "--p", p)
     assert result.returncode == EXIT_USAGE, result.stderr
     assert result.stdout == ""
     assert result.stderr == (
         f"streakcalc: success probability must lie in (0, 1), got {rendered}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "p", ["1/1" + "0" * 4400, "1e-4400"], ids=["4401-digit-denominator", "1e-4400"]
+)
+def test_simulate_reads_a_probability_of_any_length(p):
+    """A valid p past the 4300-digit limit of Fraction(str) is read, not
+    called "not a rational number": at 10^-4400 the run is refused as
+    over budget, in one line, whichever way p is written."""
+    result = _run_process("simulate", "--k", "3", "--p", p)
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    assert result.stderr.startswith("streakcalc: capacity error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_table_cap_of_any_length():
+    """A 5000-digit STREAKCALC_TABLE_CAP is a cap, not "must be an integer"."""
+    result = _run_process(
+        "counts", "--k", "3", "--n-max", "2", STREAKCALC_TABLE_CAP="9" * 5000
+    )
+    assert result.returncode == EXIT_OK, result.stderr[:200]
+    assert [row["count"] for row in json.loads(result.stdout)["rows"]] == [0, 0, 0]
 
 
 def test_simulate_csv_format(capsys):
@@ -299,7 +325,7 @@ def test_simulate_csv_format(capsys):
         "completed_trials,truncated_trials,sample_mean,sample_variance,"
         "seed,rng_algorithm"
     )
-    assert lines[1].endswith("numpy-pcg64-planes")
+    assert lines[1].endswith("mt19937-occupancy-planes")
 
 
 class CoinsDrawn(Exception):
@@ -307,7 +333,7 @@ class CoinsDrawn(Exception):
 
 
 def _draw(*args):
-    # Stands in for oracle._partition_totals, the one function that draws.
+    # Stands in for oracle._occupancy_totals, the one function that draws.
     raise CoinsDrawn(args)
 
 
@@ -316,7 +342,7 @@ def _draw(*args):
 )
 def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv):
     """Without the budget these would flip about 2^41 coins per trial."""
-    monkeypatch.setattr(oracle, "_partition_totals", _draw)
+    monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1
@@ -334,21 +360,22 @@ def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv
 )
 def test_simulation_over_pass_budget_refused_before_drawing(capsys, monkeypatch, argv):
     """About 2^31 flips fit the flip budget, but one trial alone would
-    take about 2^31 passes over a single live trial."""
-    monkeypatch.setattr(oracle, "_partition_totals", _draw)
+    take about 2^31 steps, each a pass over the live trials: over the
+    step budget."""
+    monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_CAPACITY, "")
     assert err.startswith("streakcalc: capacity error: ")
-    assert err.count("\n") == 1 and "passes" in err and "2^23" in err
+    assert err.count("\n") == 1 and "2^31 steps" in err and "2^29" in err
 
 
 def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
     """With a cap of 1000 * 2^k every trial at p = 1/1000 was truncated
     and the run reported a mean of 0.0; the cap 1000 * 1000^3 lets the
     flip budget see the run's real size."""
-    monkeypatch.setattr(oracle, "_partition_totals", _draw)
+    monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
     code, out, err = run_cli(
         capsys, "simulate", "--k", "3", "--p", "1/1000", "--trials", "1000"
     )
@@ -370,7 +397,7 @@ def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
     ],
 )
 def test_simulation_budget_boundary(capsys, monkeypatch, argv, most_trials):
-    monkeypatch.setattr(oracle, "_partition_totals", _draw)
+    monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
     with pytest.raises(CoinsDrawn):
         main([*argv.split(), "--trials", str(most_trials)])
     code, _, _ = run_cli(capsys, *argv.split(), "--trials", str(most_trials + 1))

@@ -116,7 +116,7 @@ def test_every_argv_ends_in_a_result_or_one_refusal(argv):
 )
 def test_long_runs_are_refused_before_any_work(k, trials, command):
     argv = [token.format(k=k) for token in command] + ["--trials", str(trials)]
-    with mock.patch.object(oracle, "_partition_totals", side_effect=AssertionError):
+    with mock.patch.object(oracle, "_occupancy_totals", side_effect=AssertionError):
         code, out, err = _run(argv)
     assert (code, out) == (EXIT_CAPACITY, "")
     assert err.startswith("streakcalc: capacity error: ") and err.count("\n") == 1

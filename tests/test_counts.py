@@ -13,6 +13,7 @@ from streakcalc.counts import (
     build_count_table,
     count_at,
     decimal_counts,
+    parse_digits,
     ratio_diagnostic,
     table_cap,
 )
@@ -162,6 +163,50 @@ def test_capacity_env_override(monkeypatch):
         build_count_table(RunSpec(2), 5)
     monkeypatch.setenv(TABLE_CAP_ENV, "0")
     with pytest.raises(DomainError):
+        table_cap()
+
+
+# 5000 sevens: past the 4300-digit limit of int(str) and Fraction(str)
+LONG = "7" * 5000
+LONG_VALUE = 7 * (10**5000 - 1) // 9
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (int, "1e3"), (int, "1.0"), (int, "inf"), (int, "1__0"), (int, "1 0"),
+        (int, LONG + "e3"), (int, LONG + ".0"), (int, LONG + " 0"), (int, "x" + LONG),
+        (Fraction, "1/ 2"), (Fraction, "1e3/2"), (Fraction, "nan"), (Fraction, "1/0"),
+        (Fraction, "1/" + "0" * 5000), (Fraction, LONG + "/ 3"), (Fraction, LONG + "//3"),
+        (Fraction, "1e-" + LONG), (Fraction, "1/" + LONG + ".5"),
+    ],
+    ids=lambda value: f"{value[:4]}..{value[-4:]}"
+    if isinstance(value, str) and len(value) > 20 else None,
+)
+def test_parse_digits_rejects_what_the_parser_rejects(parse, text):
+    """Reading long digits refuses every text the parser itself refuses,
+    however many digits it holds."""
+    with pytest.raises((ValueError, ArithmeticError)):
+        parse_digits(parse, text)
+
+
+def test_parse_digits_reads_any_length():
+    assert parse_digits(int, " +" + LONG + " ") == LONG_VALUE
+    assert parse_digits(int, "-1_0") == -10
+    assert parse_digits(Fraction, "3/6") == Fraction(1, 2)
+    assert parse_digits(Fraction, "1/1" + "0" * 5000) == Fraction(1, 10**5000)
+    assert parse_digits(Fraction, "-" + LONG + "/" + LONG) == -1
+    assert parse_digits(Fraction, LONG + "." + LONG + "e-10") == Fraction(
+        LONG_VALUE * 10**5000 + LONG_VALUE, 10**5010
+    )
+
+
+def test_capacity_env_of_any_length(monkeypatch):
+    """A cap longer than 4300 digits is a cap, not "must be an integer"."""
+    monkeypatch.setenv(TABLE_CAP_ENV, LONG)
+    assert table_cap() == LONG_VALUE
+    monkeypatch.setenv(TABLE_CAP_ENV, LONG + "e1")
+    with pytest.raises(DomainError, match="must be an integer"):
         table_cap()
 
 

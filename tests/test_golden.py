@@ -13,8 +13,9 @@ before, so they have no golden bytes: their values are checked against
 The demos that print only exact values (and demo 05's seeded Monte Carlo
 means) are pinned the same way, from before the point queries were
 reimplemented.  The seeded simulation outputs, here and in demo 05, are
-pinned from the ``numpy-pcg64-planes`` stream, which gives each trial 64
-flips per word.
+pinned from the ``mt19937-occupancy-planes`` stream: one
+``random.Random(seed)``, whose bits decide at each step how many live
+trials of each current run length flip heads.
 """
 
 import hashlib
@@ -50,18 +51,18 @@ GOLDEN_OUTPUT = [
     ("expect --k-min 3 --k-max 4 --n-max 300",
      "3c5411ecb3c1f808345c292635c71f62ca94c953418ff6fbb4f5a7b3c1680dec"),
     ("expect --k-min 1 --k-max 3 --simulate --trials 2000 --seed 7",
-     "e1dcad02c8af511b7e2c16a44151ca82c673c26552869c05f7bb12e15f6c3015"),
+     "4ea2cbd6a501f332002d5692cf49a71a4f6e6c6d0744e08e56005e2f23e33605"),
     ("expect --k-min 1 --k-max 3 --simulate --trials 2000 --seed 7 --format csv",
-     "3aafd107007e56a584644c970e2a4ccca875ee950d395f31bf9b613a3d22dd5f"),
+     "535b6c3eafbd5c36a5b1864d713db4b450b59801633be652d073d1289b5774f7"),
     ("simulate --k 3 --trials 5000 --seed 11",
-     "3cccd013fb8da847ac983e3226ebab5473fddc5d5e2cb953e31b8b5fc54e00af"),
+     "4b8d8531266c1d6db946f493d922925a52852a62debddf10fc313fbf426e2d3c"),
     ("simulate --k 3 --trials 5000 --seed 11 --format csv",
-     "45e14d0b217ae33634787d6d1247a11824eb0cf1bebae4da62fc5ab9baf80ebc"),
+     "32c0b80ae3915606361ea3b4f1c9dbae8a83b20cf11980754a0486978fa11619"),
     # the default step cap follows p: max_steps_per_trial 1000 * 3^2
     ("simulate --k 2 --p 1/3 --trials 3000 --seed 5",
-     "90af180a275823bf63018cb46de1a061c59410619e338b5cfa8add3e95555d3c"),
+     "b72d2121f12f8de5fb0284a8581ed8605bd601896307c2ae0345dc94aca4037c"),
     ("simulate --k 3 --p 0.25 --trials 500 --seed 2 --max-steps 4 --format csv",
-     "36b965b24f504f0291ee2c0fc94dcdec16b8f78f5d28f8b613c1c31d13f7c888"),
+     "93a59556e3cb9574f3aa8af35ca346dfb19e88fe680a2a4f29e025101df3952f"),
     ("verify --k-max 4",
      "b7fbb7c42861f83b0e92731ac247182d299952f600c704f5b31a6ef14198246e"),
     ("verify --k-max 4 --format csv",
@@ -125,7 +126,7 @@ GOLDEN_DEMOS = [
     ("03_generating_function.py",
      "789f17b698cb8a63eb6d5685fdeb494bab546b52b533051956461193336bd1d8"),
     ("05_expectation_table.py",
-     "5a48d37855d06039b8758f21d22a1ab3de8a644a30fab9e088074e9171c6d272"),
+     "22495597a8810bfdabf765f57a6768f1a455a0826248dab0caf76d4ce6103f51"),
 ]
 
 

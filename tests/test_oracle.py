@@ -1,13 +1,13 @@
 """Tests for the enumeration and simulation ground truth.
 
 The bit-sliced exhaustion is itself cross-checked here against a naive
-per-sequence scan built on first_run_index, and the simulator's word
-kernel against a flip-by-flip replay built on it, so the two oracle
-routes vouch for each other before they are used to vouch for anything
-else.
+per-sequence scan built on first_run_index, and the simulator's
+occupancy kernel against a lane-by-lane replay built on it, so the two
+oracle routes vouch for each other before they are used to vouch for
+anything else.
 """
 
-import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,7 +18,6 @@ from streakcalc import distribution, oracle
 from streakcalc.counts import RunSpec, build_count_table
 from streakcalc.errors import CapacityError, DomainError
 from streakcalc.oracle import (
-    PARTITION_SIZE,
     RNG_ALGORITHM,
     SimConfig,
     SimReport,
@@ -140,28 +139,6 @@ def test_enumerate_counts_caps_and_domain():
         enumerate_counts(0, 4)
 
 
-def test_run_end_bits_match_the_naive_shifts():
-    """Doubling the covered span gives the bits of k - 1 single shifts,
-    for every k the words can hold."""
-    import numpy as np
-
-    rng = np.random.default_rng(0)
-    ones = (1 << 64) - 1
-    edge = [0, ones, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA]
-    edge += [((1 << m) - 1) << s & ones for m in range(1, 65) for s in range(0, 64, 7)]
-    x = np.concatenate([
-        np.array(edge, dtype=np.uint64),
-        rng.integers(0, 1 << 64, size=20_000, dtype=np.uint64),
-        # words with most bits set, where long runs are common
-        np.bitwise_or.reduce(rng.integers(0, 1 << 64, size=(4, 5_000), dtype=np.uint64)),
-    ])
-    for k in range(1, 65):
-        naive = x.copy()
-        for j in range(1, k):
-            naive &= x >> np.uint64(j)
-        assert np.array_equal(oracle._run_end_bits(x, k), naive), k
-
-
 @pytest.mark.parametrize(
     "k, n", [(1, 10), (2, 12), (3, 14), (4, 14), (3, 17), (6, 4)]
 )
@@ -276,7 +253,7 @@ def test_simulate_over_budget_refused_before_drawing(monkeypatch):
     def draw(*args):
         raise AssertionError("a coin was drawn")
 
-    monkeypatch.setattr(oracle, "_partition_totals", draw)
+    monkeypatch.setattr(oracle, "_occupancy_totals", draw)
     start = time.perf_counter()
     with pytest.raises(CapacityError) as refused:
         simulate(SimConfig(k=40, success_prob=HALF, trials=1, seed=0))
@@ -298,151 +275,96 @@ def test_simulate_step_cap_beyond_64_bits():
 
 
 class _ScriptedBits:
-    """Stands in for PCG64: ``random_raw`` hands out the scripted words
-    in order."""
+    """Stands in for ``getrandbits``: each bit is 1 with probability
+    1 - 2**-density, from a seeded stream, and each draw's size is
+    recorded."""
 
-    def __init__(self, words):
-        self.words = iter(words)
-        self.drawn = 0
+    def __init__(self, seed, density):
+        self.rng = random.Random(seed)
+        self.density = density
+        self.sizes = []
 
-    def random_raw(self, size):
-        import numpy as np
-
-        self.drawn += size
-        return np.fromiter(itertools.islice(self.words, size), np.uint64, count=size)
-
-
-def _replay_heads(threshold, n_words, words):
-    """Reference for ``_heads`` in plain Python: reads one word per
-    plane for every drawing lane in turn and decides each flip by
-    comparing its bits of U with the threshold's, most significant
-    first.  Every lane draws at first; once at most half of the drawing
-    lanes hold an undecided flip, only those draw on.  Returns each
-    lane's 64 flips (True for heads) and the number of words read."""
-    flips = [[None] * 64 for _ in range(n_words)]
-    drawing = list(range(n_words))
-    drawn = 0
-    for bit in range(63, -1, -1):
-        want = threshold >> bit & 1
-        for lane in drawing:
-            plane = next(words)
-            drawn += 1
-            for i in range(64):
-                got = plane >> i & 1
-                if flips[lane][i] is None and got != want:
-                    flips[lane][i] = got < want
-        # below the threshold's last set bit, an undecided U is not less
-        if threshold % (1 << bit) == 0:
-            break
-        undecided = [lane for lane in drawing if None in flips[lane]]
-        if not undecided:
-            break
-        if 2 * len(undecided) <= len(drawing):
-            drawing = undecided
-    return [[heads is True for heads in lane] for lane in flips], drawn
+    def __call__(self, size):
+        self.sizes.append(size)
+        bits = 0
+        for _ in range(self.density):
+            bits |= self.rng.getrandbits(size)
+        return bits
 
 
-def _replay(k, threshold, n_trials, max_steps, words):
-    """Reference for ``_partition_totals`` in plain Python: each pass
-    decides 64 flips of every live trial with ``_replay_heads`` and
-    finds completions with ``first_run_index`` over the trial's whole
-    history."""
-    words = iter(words)
-    history = {lane: [] for lane in range(n_trials)}
+def _trailing_heads(history):
+    run = 0
+    while run < len(history) and history[-1 - run]:
+        run += 1
+    return run
+
+
+def _replay(k, threshold, trials, max_steps, getrandbits, chunk):
+    """Reference for ``_occupancy_totals``, one lane per trial.  Each step
+    takes the live trials by their current run, shortest first, and in
+    each run class takes the threshold's bits from bit 63 down to its
+    lowest set bit.  Every undecided trial reads the next drawn bit
+    (draws of at most ``chunk`` bits); a 1 decides it, as heads where
+    the threshold's bit is 1, and the trials still undecided after the
+    last plane are tails.  ``first_run_index`` over each trial's whole
+    history finds its completion."""
+    planes = [threshold >> bit & 1 for bit in range(63, -1, -1)]
+    while planes and not planes[-1]:
+        planes.pop()
+    history = {lane: [] for lane in range(trials)}
     steps = []
-    drawn = base = 0
-    while history and base < max_steps:
-        flips, n = _replay_heads(threshold, len(history), words)
-        drawn += n
-        base += 64
-        for lane, more in zip(list(history), flips):
-            history[lane] += more
-            step = first_run_index(history[lane], k)
-            if step is not None:
+    for step in range(1, max_steps + 1):
+        runs = {lane: _trailing_heads(flips) for lane, flips in history.items()}
+        for r in sorted(set(runs.values())):
+            undecided = [lane for lane in history if runs[lane] == r]
+            outcome = dict.fromkeys(undecided, False)
+            for plane in planes:
+                if not undecided:
+                    break
+                bits = []
+                for lo in range(0, len(undecided), chunk):
+                    size = min(chunk, len(undecided) - lo)
+                    word = getrandbits(size)
+                    bits += [word >> i & 1 for i in range(size)]
+                for lane, bit in zip(undecided, bits):
+                    if bit:
+                        outcome[lane] = plane == 1
+                undecided = [lane for lane, bit in zip(undecided, bits) if not bit]
+            for lane, heads in outcome.items():
+                history[lane].append(heads)
+        for lane in list(history):
+            if first_run_index(history[lane], k) == step:
+                steps.append(step)
                 del history[lane]
-                if step <= max_steps:
-                    steps.append(step)
-    totals = (len(steps), sum(steps), sum(s * s for s in steps), n_trials - len(steps))
-    return totals, drawn
+        if not history:
+            break
+    return len(steps), sum(steps), sum(s * s for s in steps), trials - len(steps)
 
 
-ONES = (1 << 64) - 1
 FAIR = 1 << 63
-
-
-def _fair(heads):
-    # the fair coin's one plane: a flip is heads where the raw bit is 0
-    return [~h & ONES for h in heads]
-
-
-def _raw(seed, j):
-    # endless raw words whose bits are 1 with probability 2**-j; with the
-    # fair coin, flips that are heads with probability 1 - 2**-j
-    rng = random.Random(seed)
-    while True:
-        word = ONES
-        for _ in range(j):
-            word &= rng.getrandbits(64)
-        yield word
+THRESHOLDS = [FAIR, 1 << 62, 5 << 60, (1 << 64) // 3, (9 << 64) // 10, 0]
 
 
 @pytest.mark.parametrize(
-    "k, threshold, n_trials, max_steps, words",
-    [
-        # completions at flips 64 and 65, and a run carried from the
-        # first word that breaks at the second's first flip
-        (3, FAIR, 4, 1000, lambda: itertools.chain(
-            _fair([7 << 61, 3 << 62, 0b11 << 62, 1 << 63]),
-            _fair([1, 0b1110]), _raw(1, 1))),
-        (1, FAIR, 3, 1000, lambda: itertools.chain(
-            _fair([1 << 63, 0, 0]), _fair([0, 1]), _raw(2, 1))),
-        # runs carried across words at k = 40 and k = 64, from words
-        # whose flips are mostly heads, and a word of 64 heads
-        (40, FAIR, 12, 10**6, lambda: _raw(3, 5)),
-        (64, FAIR, 12, 10**6, lambda: _raw(4, 7)),
-        (64, FAIR, 3, 1000, lambda: itertools.chain(
-            _fair([ONES, ONES >> 1, ONES << 1 & ONES]), _fair([ONES, ONES]),
-            _raw(5, 7))),
-        # step caps around one and two words, and completions at flips
-        # 63, 64, 65 and 66 against each cap
-        *[(20, FAIR, 16, cap, lambda: _raw(6, 4)) for cap in (63, 64, 65, 127)],
-        *[(3, FAIR, 4, cap, lambda: itertools.chain(
-            _fair([7 << 60, 7 << 61, 3 << 62, 1 << 63]), _fair([1, 0b11]), _raw(7, 1)))
-          for cap in (63, 64, 65, 127)],
-        # dyadic p = 1/4 takes two planes; at p = 1/3 and 9/10 the
-        # drawing words shrink to the undecided ones, and planes stop
-        # once every flip of the block is decided
-        (3, 1 << 62, 16, 1000, lambda: _raw(9, 1)),
-        (2, 1 << 62, 8, 70, lambda: _raw(10, 2)),
-        (3, (1 << 64) // 3, 4, 1000, lambda: _raw(11, 1)),
-        (1, (9 << 64) // 10, 16, 1000, lambda: _raw(13, 1)),
-        (3, (1 << 64) // 3, 16, 1000, lambda: _raw(14, 1)),
-        # p below 2**-64 rounds the threshold to 0: every flip is tails
-        (1, 0, 2, 130, lambda: _raw(12, 1)),
-    ],
+    "threshold", THRESHOLDS, ids=["1/2", "1/4", "5/16", "1/3", "9/10", "0"]
 )
-def test_partition_totals_match_a_flip_by_flip_replay(k, threshold, n_trials, max_steps, words):
-    """The word kernel's exact totals, and the words it draws, equal a
-    lane-by-lane replay of the same scripted words."""
-    bits = _ScriptedBits(words())
-    want, drawn = _replay(k, threshold, n_trials, max_steps, words())
-    assert oracle._partition_totals(k, threshold, n_trials, max_steps, bits) == want
-    assert bits.drawn == drawn
-
-
-@pytest.mark.parametrize(
-    "threshold",
-    [FAIR, 1 << 62, 5 << 60, (1 << 64) // 3, (9 << 64) // 10, (7 << 64) // 10],
-)
-def test_heads_match_a_bit_by_bit_comparison(threshold):
-    """Every heads bit, and the words drawn for it, equal a plain
-    comparison of the same scripted planes, also after the drawing
-    words have shrunk more than once."""
-    bits = _ScriptedBits(_raw(15, 1))
-    want, drawn = _replay_heads(threshold, 256, _raw(15, 1))
-    got = oracle._heads(bits, threshold, 256)
-    assert [[int(word) >> i & 1 == 1 for i in range(64)] for word in got] == want
-    assert bits.drawn == drawn
+@pytest.mark.parametrize("k", [1, 3, 40, 64])
+def test_occupancy_totals_match_a_lane_by_lane_replay(monkeypatch, k, threshold):
+    """The kernel's exact totals, and the sizes of its draws in order,
+    equal a replay that flips each trial's coin on its own from the same
+    scripted bits: with draws of 1-3 bits, so that every class of 12
+    trials takes several, and step caps at k, at k + 1 and in mid-run.
+    At k = 40 and 64 most bits are 1, so that long runs complete."""
+    density = 1 if k < 40 else 7
+    for chunk_bits in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_ENUM_CHUNK_BITS", chunk_bits)
+        for cap in (k, k + 1, 2 * k + 3):
+            got_bits = _ScriptedBits(cap, density)
+            want_bits = _ScriptedBits(cap, density)
+            got = oracle._occupancy_totals(k, threshold, 12, cap, got_bits)
+            want = _replay(k, threshold, 12, cap, want_bits, 1 << chunk_bits)
+            assert got == want, (chunk_bits, cap)
+            assert got_bits.sizes == want_bits.sizes, (chunk_bits, cap)
 
 
 def _exact_moments(k, p):
@@ -469,6 +391,47 @@ def test_simulate_moments_match_exact(k, p):
     assert abs(report.sample_variance / float(var) - 1) < 0.05
 
 
+def _cdf(k, p, m):
+    # P(X <= m) from the run-length chain: alive[r] is the probability of
+    # no completion yet and a current run of r heads
+    alive = [Fraction(1)] + [Fraction(0)] * (k - 1)
+    done = Fraction(0)
+    for _ in range(m):
+        done += p * alive[-1]
+        alive = [(1 - p) * sum(alive)] + [p * a for a in alive[:-1]]
+    return done
+
+
+def test_cdf_chain_matches_enumeration():
+    """The test's chain is itself checked: at the fair coin it sums the
+    exhaustive first-run histogram."""
+    for k in (1, 2, 3, 5):
+        ends, _ = enumerate_first_run_histogram(k, 12)
+        for m in range(1, 13):
+            assert _cdf(k, HALF, m) == Fraction(sum(ends[: m + 1]), 1 << 12), (k, m)
+
+
+@pytest.mark.parametrize(
+    "k, p", [(3, HALF), (2, Fraction(1, 3)), (1, Fraction(9, 10))]
+)
+def test_simulate_completions_follow_the_exact_cdf(k, p):
+    """With the step cap at m, from k to three times the mean, the
+    completed trials lie within 4 standard errors of trials * P(X <= m):
+    the shape of the distribution, not only its first two moments."""
+    trials = 100_000
+    mean = math.ceil(_exact_moments(k, p)[0])
+    for m in (k, 2 * k, mean, 3 * mean):
+        config = SimConfig(
+            k=k, success_prob=p, trials=trials, seed=100 * k + m,
+            max_steps_per_trial=m,
+        )
+        report = simulate(config)
+        cdf = _cdf(k, p, m)
+        se = math.sqrt(trials * cdf * (1 - cdf))
+        assert abs(report.completed_trials - trials * cdf) <= 4 * se, m
+        assert report.truncated_trials == trials - report.completed_trials
+
+
 def test_exact_variance_examples():
     assert [_exact_moments(k, HALF)[1] for k in (1, 2, 3)] == [2, 22, 142]
 
@@ -490,16 +453,6 @@ def test_simulate_accounting_identity():
     )
     report = simulate(config)
     assert report.completed_trials + report.truncated_trials == 1
-
-
-def test_simulate_spans_partitions_deterministically():
-    """A run longer than one internal block still reproduces exactly."""
-    trials = PARTITION_SIZE + 7
-    config = SimConfig(k=1, success_prob=HALF, trials=trials, seed=5)
-    a = simulate(config)
-    b = simulate(config)
-    assert a == b
-    assert a.completed_trials + a.truncated_trials == trials
 
 
 def test_truncated_trials_excluded_from_mean():

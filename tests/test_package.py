@@ -47,6 +47,22 @@ assert "numpy" not in sys.modules, "verify loaded numpy"
 """
 
 
+SIM_CHECK = """
+import contextlib, io, sys
+from fractions import Fraction
+import streakcalc.cli
+from streakcalc import SimConfig, simulate
+report = simulate(SimConfig(k=2, success_prob=Fraction(1, 3), trials=100, seed=1))
+assert report.completed_trials == 100
+assert "numpy" not in sys.modules, "simulate loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["simulate", "--k", "3", "--trials", "100"],
+                 ["expect", "--k-min", "1", "--k-max", "2", "--simulate", "--trials", "100"]):
+        assert streakcalc.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, argv
+"""
+
+
 def _fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
@@ -66,6 +82,12 @@ def test_exact_commands_run_without_numpy():
     """In a fresh interpreter: ``counts``, ``expect`` and ``verify``,
     which runs the enumeration oracle, load no numpy."""
     _fresh_interpreter(CLI_CHECK)
+
+
+def test_simulation_runs_without_numpy():
+    """In a fresh interpreter: ``simulate``, in the library and on the
+    command line, and ``expect --simulate`` load no numpy."""
+    _fresh_interpreter(SIM_CHECK)
 
 
 @pytest.mark.parametrize(
