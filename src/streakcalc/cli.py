@@ -25,7 +25,7 @@ from itertools import chain, repeat
 
 from . import counts as counts_mod
 from . import distribution, genfunc, oracle
-from .counts import RunSpec
+from .counts import RunSpec, _exact
 from .errors import CapacityError, DomainError
 
 FORMAT_VERSION = "1.0.0"
@@ -241,13 +241,6 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
     finally:
         if eager:
             out.reconfigure(**eager)
-
-
-def _exact(value: Fraction) -> str:
-    """``str(value)`` ("num/den", or an integer when den is 1), written
-    through ``Decimal``, which has no 4300-digit limit."""
-    num = str(Decimal(value.numerator))
-    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def _cmd_counts(args) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counts import RunSpec, build_count_table
+from .counts import RunSpec, _exact, build_count_table, parse_digits
 from .errors import DomainError
 
 Rational = Fraction | int | str
@@ -30,8 +30,8 @@ Rational = Fraction | int | str
 
 def _as_fraction(r: Rational) -> Fraction:
     try:
-        return Fraction(r)
-    except (ValueError, TypeError, ZeroDivisionError):
+        return parse_digits(Fraction, r) if isinstance(r, str) else Fraction(r)
+    except (ValueError, TypeError, ArithmeticError):
         raise DomainError(f"not an exact rational: {r!r}")
 
 
@@ -50,7 +50,7 @@ def _point(spec: RunSpec, r: Rational) -> tuple[Fraction, Fraction]:
     """
     r = _as_fraction(r)
     if not 0 < r < 1:
-        raise DomainError(f"r must lie strictly inside (0, 1), got {r}")
+        raise DomainError(f"r must lie strictly inside (0, 1), got {_exact(r)}")
     return r, denominator_core(spec, r)
 
 
@@ -115,7 +115,7 @@ def series_matches_closed_form(
     """
     r = _as_fraction(r)
     if not 0 < r <= Fraction(1, 2):
-        raise DomainError(f"r must lie in (0, 1/2], got {r}")
+        raise DomainError(f"r must lie in (0, 1/2], got {_exact(r)}")
     if n_max < spec.k:
         raise DomainError(
             f"n_max must be >= the run length, got n_max={n_max} with k={spec.k}"

@@ -17,10 +17,9 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
-from .counts import RunSpec
+from .counts import RunSpec, _exact
 from .errors import CapacityError, DomainError
 
 # Exhaustion cap: at most 2**24 sequences per enumeration call.
@@ -37,17 +36,10 @@ _ENUM_CHUNK_BITS = 16
 
 RNG_ALGORITHM = "mt19937-occupancy-planes"
 
-# Most coin flips one call may simulate, counted as check_budget does:
-# about a minute where many trials share each step, at 0.5-1.2 ns a
-# counted flip.
+# Most coin flips one call may simulate, counted as check_budget does: a
+# minute at 0.5-1.2 ns a flip, or 2^29 class draws of 2^7 flips: 4-8 min
+# at p = 1/2, 1/3, 21 at p = 1/1000, k = 64 (2-core x86-64, CPython 3.11.7).
 SIMULATION_FLIP_CAP = 1 << 36
-
-# Most steps one call may take, each step flipping one coin for every
-# live trial: 7-9 minutes with one live trial, whose step costs 0.8-1.0
-# us at p = 1/2 and 1/3 (2-core x86-64, CPython 3.11.7).  A step draws
-# for each nonempty run class, so over a few hundred live trials it
-# costs several times that.
-SIMULATION_STEP_CAP = 1 << 29
 
 
 def _iter_heads(outcomes) -> Iterator[bool]:
@@ -74,7 +66,7 @@ def _check_positive(value, what: str) -> None:
     # RunSpec's checks, without its cap: a k beyond any n finds no run.
     _check_int(value, what)
     if value < 1:
-        raise DomainError(f"{what} must be >= 1, got {value}")
+        raise DomainError(f"{what} must be >= 1, got {_exact(value)}")
 
 
 def first_run_index(outcomes, k: int) -> int | None:
@@ -168,6 +160,11 @@ def enumerate_truncated_expectation(k: int, n: int) -> Fraction:
     return Fraction(sum(i * c for i, c in enumerate(ends)), 1 << n)
 
 
+def _beyond_64_bits(a: int, b: int, k: int) -> bool:
+    """Whether bit lengths show (b/a)^k > 2^64: b/a > 2^(len b - len a - 1)."""
+    return k * (b.bit_length() - a.bit_length() - 1) >= 64
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one reproducible simulation run.
@@ -177,7 +174,9 @@ class SimConfig:
     cap is 1000 * ceil(p**-k), 1000 * 2**k for the fair coin.  The mean
     waiting time (1 - p**k) / (q p**k) is below p**-k / q, so unless q
     is tiny the cap lies far beyond any plausible completion, and
-    truncation is a reportable anomaly rather than a silent bias.
+    truncation is a reportable anomaly rather than a silent bias.  Where
+    the bit lengths of p show p**-k > 2**64, the cap is 1000 * 2**64,
+    and :func:`check_budget` refuses the run at any trial count.
     """
 
     k: int
@@ -193,24 +192,20 @@ class SimConfig:
         except (ValueError, TypeError, ZeroDivisionError):
             raise DomainError(f"not a rational probability: {self.success_prob!r}")
         if not 0 < self.success_prob < 1:
-            # str() of an int stops at 4300 digits; Decimal has no limit
-            num, den = map(Decimal, self.success_prob.as_integer_ratio())
-            raise DomainError(
-                "success probability must lie in (0, 1), got "
-                + (f"{num}" if den == 1 else f"{num}/{den}")
-            )
+            p = _exact(self.success_prob)
+            raise DomainError(f"success probability must lie in (0, 1), got {p}")
         _check_positive(self.trials, "trials")
         _check_int(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
+            raise DomainError(f"seed must fit in 64 bits, got {_exact(self.seed)}")
         if self.max_steps_per_trial is None:
-            cap = 1000 * math.ceil(1 / self.success_prob**self.k)
+            (a, b), k = self.success_prob.as_integer_ratio(), self.k
+            cap = 1000 << 64 if _beyond_64_bits(a, b, k) else 1000 * -(-b**k // a**k)
             object.__setattr__(self, "max_steps_per_trial", cap)
         _check_int(self.max_steps_per_trial, "max_steps_per_trial")
         if self.max_steps_per_trial < self.k:
-            raise DomainError(
-                f"max_steps_per_trial must be >= k, got {self.max_steps_per_trial}"
-            )
+            cap = _exact(self.max_steps_per_trial)
+            raise DomainError(f"max_steps_per_trial must be >= k, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -226,34 +221,34 @@ class SimReport:
 
 
 def check_budget(configs) -> None:
-    """Refuse, before any coin is drawn, simulations that would flip more
-    than ``SIMULATION_FLIP_CAP`` coins or take more than
-    ``SIMULATION_STEP_CAP`` steps in all.
+    """Refuse, before any coin is drawn, simulations that would cost more
+    than ``SIMULATION_FLIP_CAP`` coin flips in all.
 
-    A trial flips min(max steps, X) coins, X the waiting time, whose mean
-    is E = (1 - p^k) / (q p^k).  With L = min(max steps, ceil(E)), the
-    flips are estimated as trials times L, and the steps, each flipping
-    one coin for every live trial, as L.
+    A config takes L = min(max steps, ceil(E)) steps, E = p^-1 + ... +
+    p^-k the mean waiting time (S.-Y. R. Li, Ann. Probab. 8(6), 1980),
+    in integers for p = a/b.  Where p's bit lengths show p^-k > 2^64, L
+    is the max steps: exact, or over budget either way.  A step flips a
+    coin per live trial and draws once per nonempty run class, so it
+    costs its trials, but no less than 2^7 flips a class.
     """
     flips = 0
-    steps = 0
     for config in configs:
-        p, k = config.success_prob, config.k
-        mean = (1 - p**k) / ((1 - p) * p**k)
-        length = min(config.max_steps_per_trial, math.ceil(mean))
-        flips += config.trials * length
-        steps += length
-    for need, cap, what, estimate in (
-        (flips, SIMULATION_FLIP_CAP, "coin flips",
-         "trials x min(max steps, mean trial length)"),
-        (steps, SIMULATION_STEP_CAP, "steps", "min(max steps, mean trial length)"),
-    ):
-        if need > cap:
-            raise CapacityError(
-                f"simulation needs about 2^{math.log2(need):.0f} {what}, over "
-                f"the budget of 2^{math.log2(cap):.0f} "
-                f"({estimate})"
-            )
+        k, trials, length = config.k, config.trials, config.max_steps_per_trial
+        a, b = config.success_prob.as_integer_ratio()
+        if not _beyond_64_bits(a, b, k):
+            length = min(length, -(-b * (b**k - a**k) // ((b - a) * a**k)))
+        # nonempty run classes, estimated as the r < k with trials * p^r >= 1
+        # (p to 64 bits): within one of the mean measured at p = 1/2, 1/3
+        shift = max(0, b.bit_length() - 64)
+        a, b = a >> shift, b >> shift
+        classes = 1 + sum(trials * a**r >= b**r for r in range(1, min(k, trials)))
+        flips += length * max(trials, classes << 7)
+    if flips > SIMULATION_FLIP_CAP:
+        raise CapacityError(
+            f"simulation needs about 2^{math.log2(flips):.0f} coin flips, over "
+            f"the budget of 2^{math.log2(SIMULATION_FLIP_CAP):.0f} "
+            "(min(max steps, mean trial length) x max(trials, 2^7 x run classes))"
+        )
 
 
 def _occupancy_totals(
@@ -328,18 +323,9 @@ def simulate(config: SimConfig) -> SimReport:
         config.max_steps_per_trial,
         random.Random(config.seed).getrandbits,
     )
-    if completed == 0:
-        mean = 0.0
-        variance = 0.0
-    else:
-        mean = float(Fraction(total, completed))
-        if completed == 1:
-            variance = 0.0
-        else:
-            variance = float(
-                Fraction(total_sq * completed - total * total,
-                         completed * (completed - 1))
-            )
+    mean = total / completed if completed else 0.0
+    pairs = completed * (completed - 1)
+    variance = (total_sq * completed - total * total) / pairs if pairs else 0.0
     return SimReport(
         completed_trials=completed,
         truncated_trials=truncated,

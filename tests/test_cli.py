@@ -304,6 +304,63 @@ def test_simulate_reads_a_probability_of_any_length(p):
     assert result.stderr.count("\n") == 1
 
 
+# 131 000 zeros: near the 128 KiB that Linux allows one argument
+@pytest.mark.parametrize("p", ["1e-1000000", "1e-100000", "1/1" + "0" * 131_000],
+                         ids=["1e-1000000", "1e-100000", "1/1<131000 zeros>"])
+@pytest.mark.parametrize("k", ["1", "64"])
+def test_simulate_refuses_a_tiny_probability_in_bounded_time(k, p):
+    """E >= p^-k > 2^64 shows in the bit lengths of p, so the refusal
+    forms no power of p, in the budget or in the default step cap, and
+    the digits are read in subquadratic time."""
+    start = time.perf_counter()
+    result = _run_process("simulate", "--k", k, "--p", p)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    assert result.stderr.startswith("streakcalc: capacity error: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.xfail(
+    strict=True, raises=subprocess.TimeoutExpired,
+    reason="a p with a long numerator and denominator still forms k-th powers "
+    "before the refusal (FOUND in CHANGES.md)",
+)
+def test_simulate_refuses_a_near_one_probability_in_bounded_time():
+    """p = 0.<10^5 nines> at k = 64 is refused for 2^40 trials, but only
+    after forming its 64th powers in the default step cap and the mean:
+    about 23 s.  Passes once the estimate reads leading bits instead."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcalc.cli", "simulate", "--k", "64",
+         "--p", "0." + "9" * 100_000, "--trials", str(2**40)],
+        capture_output=True, text=True, timeout=1,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    assert result.stderr.startswith("streakcalc: capacity error: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["counts", "--k", "3", "--n-max", "9" * 4300], {}, EXIT_CAPACITY),
+        (["expect", "--k-min", "1", "--k-max", "1", "--n-max", "9" * 4300], {},
+         EXIT_CAPACITY),
+        (["counts", "--k", "3", "--n-max", "2"],
+         {"STREAKCALC_TABLE_CAP": "-1" + "0" * 5000}, EXIT_USAGE),
+    ],
+    ids=["counts-n-max", "expect-n-max", "negative-cap"],
+)
+def test_long_numbers_in_messages_are_rendered(argv, env, code):
+    """A message quoting a number past str()'s 4300-digit limit (n_max + 1
+    has 4301 digits) is one stderr line, not a traceback."""
+    result = _run_process(*argv, **env)
+    assert (result.returncode, result.stdout) == (code, ""), result.stderr[-300:]
+    assert result.stderr.startswith("streakcalc: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_table_cap_of_any_length():
     """A 5000-digit STREAKCALC_TABLE_CAP is a cap, not "must be an integer"."""
     result = _run_process(
@@ -359,16 +416,15 @@ def test_simulation_over_budget_refused_before_drawing(capsys, monkeypatch, argv
     ],
 )
 def test_simulation_over_pass_budget_refused_before_drawing(capsys, monkeypatch, argv):
-    """About 2^31 flips fit the flip budget, but one trial alone would
-    take about 2^31 steps, each a pass over the live trials: over the
-    step budget."""
+    """About 2^31 flips, but one trial alone would take about 2^31 steps,
+    each priced at no less than 2^7 flips: over the budget."""
     monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_CAPACITY, "")
     assert err.startswith("streakcalc: capacity error: ")
-    assert err.count("\n") == 1 and "2^31 steps" in err and "2^29" in err
+    assert err.count("\n") == 1 and "2^38 coin flips" in err and "2^36" in err
 
 
 def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
@@ -394,6 +450,8 @@ def test_simulation_default_step_cap_follows_p(capsys, monkeypatch):
         ("simulate --k 40 --max-steps 1024", 2**26),
         # expect sums over its run lengths: 2 + 6 flips per trial
         ("expect --k-min 1 --k-max 2 --simulate", 2**33),
+        # 2^29 - 2 steps; a step draws for each of min(k, trials) classes
+        ("simulate --k 28", 1),
     ],
 )
 def test_simulation_budget_boundary(capsys, monkeypatch, argv, most_trials):
@@ -402,6 +460,18 @@ def test_simulation_budget_boundary(capsys, monkeypatch, argv, most_trials):
         main([*argv.split(), "--trials", str(most_trials)])
     code, _, _ = run_cli(capsys, *argv.split(), "--trials", str(most_trials + 1))
     assert code == EXIT_CAPACITY
+
+
+def test_simulation_step_boundary_summed_over_run_lengths(capsys, monkeypatch):
+    """At one trial a step costs 2^7 flips in every run length, and the
+    mean lengths 2^(k+1) - 2 for k = 1..27 sum to under 2^29."""
+    monkeypatch.setattr(oracle, "_occupancy_totals", _draw)
+    argv = ["expect", "--k-min", "1", "--simulate", "--trials", "1"]
+    with pytest.raises(CoinsDrawn):
+        main([*argv, "--k-max", "27"])
+    code, out, err = run_cli(capsys, *argv, "--k-max", "28")
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert err.count("\n") == 1
 
 
 def test_simulation_bounded_by_step_cap_runs(capsys):

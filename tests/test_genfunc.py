@@ -49,6 +49,16 @@ def test_eval_y_rejects_garbage():
         eval_y(RunSpec(2), "h")
 
 
+def test_eval_y_reads_a_rational_of_any_length():
+    """A string past the 4300-digit limit of Fraction(str) is a rational,
+    and one outside (0, 1) is refused with its value in the message."""
+    assert eval_y(RunSpec(3), "1/1" + "0" * 5000) == eval_y(
+        RunSpec(3), Fraction(1, 10**5000)
+    )
+    with pytest.raises(DomainError, match="got 1" + "0" * 5000 + "$"):
+        eval_y(RunSpec(3), "1" + "0" * 5000)
+
+
 @pytest.mark.parametrize(
     "k, expected",
     [(1, Fraction(4)), (2, Fraction(12)), (3, Fraction(28))],

@@ -238,6 +238,18 @@ def test_sim_config_rejects_non_integers(field, value):
         SimConfig(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", -(10**5000)), ("seed", 10**5000), ("max_steps_per_trial", -(10**5000))],
+    ids=["trials", "seed", "max_steps_per_trial"],
+)
+def test_sim_config_renders_long_values_in_its_messages(field, value):
+    """A value past str()'s 4300-digit limit is written out in full."""
+    fields = {"k": 2, "success_prob": HALF, "trials": 10, "seed": 1, field: value}
+    with pytest.raises(DomainError, match=f"got -?1{'0' * 5000}$"):
+        SimConfig(**fields)
+
+
 def test_sim_config_defaults_step_cap():
     config = SimConfig(k=3, success_prob=HALF, trials=10, seed=1)
     assert config.max_steps_per_trial == 1000 * 2**3
@@ -245,6 +257,38 @@ def test_sim_config_defaults_step_cap():
     # the cap follows p: 1000 * ceil(3**3), not the fair coin's 1000 * 2**3
     config = SimConfig(k=3, success_prob=Fraction(1, 3), trials=10, seed=1)
     assert config.max_steps_per_trial == 1000 * 27
+
+
+def test_sim_config_default_step_cap_in_integers():
+    """1000 * ceil(p**-k), or 1000 * 2**64 where the bit lengths of p
+    show p**-k > 2**64, without forming the power."""
+    for p in (Fraction(1, 3), Fraction(2, 7), Fraction(999, 1000), Fraction(1, 1000)):
+        for k in (1, 5, 64):
+            cap = SimConfig(k=k, success_prob=p, trials=1, seed=0).max_steps_per_trial
+            want = 1000 * math.ceil(1 / p**k)
+            assert cap == want or cap == 1000 << 64 < want
+    assert SimConfig(k=64, success_prob=Fraction(1, 3), trials=1, seed=0
+                     ).max_steps_per_trial == 1000 * 3**64
+    for p in (Fraction(1, 1000), Fraction(1, 10**100_000)):
+        config = SimConfig(k=64, success_prob=p, trials=1, seed=0)
+        assert config.max_steps_per_trial == 1000 << 64
+
+
+@pytest.mark.parametrize(
+    "p", [HALF, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(999, 1000)]
+)
+def test_budget_charges_the_exact_mean_length(p):
+    """Past 2^7 flips a class, a config costs trials x ceil(E) flips,
+    E = (1 - p^k) / (q p^k) in Fraction arithmetic: the most trials that
+    fit 2^36 run and one more is refused."""
+    for k in range(1, 13):
+        mean = math.ceil((1 - p**k) / ((1 - p) * p**k))
+        most = oracle.SIMULATION_FLIP_CAP // mean
+        if most < 128 * k:
+            continue
+        oracle.check_budget([SimConfig(k=k, success_prob=p, trials=most, seed=0)])
+        with pytest.raises(CapacityError):
+            oracle.check_budget([SimConfig(k=k, success_prob=p, trials=most + 1, seed=0)])
 
 
 def test_simulate_over_budget_refused_before_drawing(monkeypatch):
@@ -259,8 +303,8 @@ def test_simulate_over_budget_refused_before_drawing(monkeypatch):
         simulate(SimConfig(k=40, success_prob=HALF, trials=1, seed=0))
     assert time.perf_counter() - start < 1
     assert str(refused.value) == (
-        "simulation needs about 2^41 coin flips, over the budget of 2^36 "
-        "(trials x min(max steps, mean trial length))"
+        "simulation needs about 2^48 coin flips, over the budget of 2^36 "
+        "(min(max steps, mean trial length) x max(trials, 2^7 x run classes))"
     )
 
 
