@@ -25,7 +25,7 @@ from itertools import chain, repeat
 
 from . import counts as counts_mod
 from . import distribution, genfunc, oracle
-from .counts import RunSpec, _exact
+from .counts import RunSpec, _exact, _integer
 from .errors import CapacityError, DomainError
 
 FORMAT_VERSION = "1.0.0"
@@ -245,8 +245,7 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
 
 def _cmd_counts(args) -> int:
     spec = RunSpec(args.k)
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
+    _integer(args.n_max, "--n-max", 0)
     # decimal_counts refuses here, before any output; the rows then
     # stream from it to stdout.
     counts = counts_mod.decimal_counts(spec, args.n_max)
@@ -261,14 +260,13 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    if args.k_min < 1:
-        raise DomainError(f"--k-min must be >= 1, got {args.k_min}")
+    _integer(args.k_min, "--k-min", 1)
     if args.k_max < args.k_min:
         raise DomainError(
             f"empty range: --k-min {args.k_min} exceeds --k-max {args.k_max}"
         )
-    if args.n_max is not None and args.n_max < 1:
-        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.n_max is not None:
+        _integer(args.n_max, "--n-max", 1)
     ks = range(args.k_min, args.k_max + 1)
     sims = {}
     if args.simulate:
@@ -406,8 +404,7 @@ def _verify_checks(k_max: int):
 
 
 def _cmd_verify(args) -> int:
-    if args.k_max < 1:
-        raise DomainError(f"--k-max must be >= 1, got {args.k_max}")
+    _integer(args.k_max, "--k-max", 1)
     RunSpec(args.k_max)  # refuses k_max > K_MAX before any check runs
     rows = []
     any_failed = False

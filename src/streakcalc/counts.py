@@ -40,11 +40,26 @@ DEFAULT_TABLE_CAP = 100_000
 TABLE_CAP_ENV = "STREAKCALC_TABLE_CAP"
 
 
+# Exact decimal arithmetic, kept apart from the caller's context:
+# unbounded precision, and every inexact or rounded result trapped, so
+# each operation is exact or raises.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
 def parse_digits(parse, text: str):
     """``parse(text)``, with ``parse`` ``int`` or ``Fraction``, for digit
     strings of any length: their string conversion refuses more than
     4300 digits in a row, and ``Decimal`` has no such limit.  Raises
-    ``ValueError`` or ``ArithmeticError`` for what ``parse`` rejects."""
+    ``ValueError`` or ``ArithmeticError`` for what ``parse`` rejects,
+    and ``ValueError`` for an exponent beyond ``10**6`` in magnitude."""
+    # parse forms 10**|exponent| whole: 11 s for an exponent of -10**7
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 7 or int(digits or 0) > 10**6:
+        raise ValueError("exponent beyond 10**6")
     try:
         return parse(text)
     except ValueError:
@@ -69,11 +84,42 @@ def _digits_int(digits: tuple[int, ...]) -> int:
     return _digits_int(digits[:-low]) * 10**low + _digits_int(digits[-low:])
 
 
+def _decimal(n: int) -> Decimal:
+    # Decimal(n) is quadratic in the digits: 2.0 s for 3 * 10**5 of them.
+    # Halves joined by exact products, which libmpdec forms in
+    # subquadratic time, take 0.15 s.
+    if n.bit_length() <= 1 << 14:
+        return Decimal(n)
+    half = n.bit_length() // 2
+    low = _decimal(n & ((1 << half) - 1))
+    return _EXACT.fma(_decimal(n >> half), _EXACT.power(2, half), low)
+
+
 def _exact(value: Fraction | int) -> str:
     """``str(value)`` ("num/den", or an integer when den is 1), written
-    through ``Decimal``, which has no 4300-digit limit."""
-    num = str(Decimal(value.numerator))
-    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
+    through ``Decimal``, which has no 4300-digit limit, in time
+    subquadratic in the digits."""
+    num = str(_decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _integer(value, what: str, least: int | None = None) -> None:
+    """Refuse a non-``int``, a ``bool`` or a value below ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        got = _exact(value) if isinstance(value, Fraction) else repr(value)
+        raise DomainError(f"{what} must be an integer, got {got}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be >= {least}, got {_exact(value)}")
+
+
+def _rational(value, what: str) -> Fraction:
+    """``value`` as a ``Fraction``, a ``str`` read by :func:`parse_digits`."""
+    try:
+        if isinstance(value, str):
+            return parse_digits(Fraction, value)
+        return Fraction(value)
+    except (ValueError, TypeError, ArithmeticError):
+        raise DomainError(f"{what} must be an exact rational, got {value!r}")
 
 
 def table_cap() -> int:
@@ -85,8 +131,7 @@ def table_cap() -> int:
         cap = parse_digits(int, raw)
     except (ValueError, ArithmeticError):
         raise DomainError(f"{TABLE_CAP_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise DomainError(f"{TABLE_CAP_ENV} must be positive, got {_exact(cap)}")
+    _integer(cap, TABLE_CAP_ENV, 1)
     return cap
 
 
@@ -97,12 +142,9 @@ class RunSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise DomainError(f"run length must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise DomainError(f"run length must be >= 1, got {self.k}")
+        _integer(self.k, "run length", 1)
         if self.k > K_MAX:
-            raise DomainError(f"run length must be <= {K_MAX}, got {self.k}")
+            raise DomainError(f"run length must be <= {K_MAX}, got {_exact(self.k)}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +165,7 @@ class CountTable:
 
 def _check_table(n_max: int) -> None:
     """Raise unless a table of c(0..n_max) is within the configured cap."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {_exact(n_max)}")
+    _integer(n_max, "n_max", 0)
     cap = table_cap()
     if n_max + 1 > cap:
         raise CapacityError(
@@ -279,17 +320,13 @@ def decimal_counts(spec: RunSpec, n_max: int) -> Iterator[Decimal]:
     For writing tables out: ``str`` of a ``Decimal`` is linear in its
     digits and has no digit limit, where ``str`` of an ``int`` is
     quadratic and refuses more than 4300 digits.  The additions go
-    through the methods of a context of their own, with unbounded
+    through the methods of this module's exact context, with unbounded
     precision and ``Inexact`` and ``Rounded`` trapped, so each is exact
     or raises; the caller's decimal context is never touched, also
     between two values.  Same errors as :func:`build_count_table`, raised
     at the call, before any value.
     """
-    exact = Context(
-        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-        traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-    )
-    return _stream(spec.k, n_max, Decimal, exact.add, exact.subtract)
+    return _stream(spec.k, n_max, Decimal, _EXACT.add, _EXACT.subtract)
 
 
 def count_at(spec: RunSpec, n: int) -> int:
@@ -299,8 +336,7 @@ def count_at(spec: RunSpec, n: int) -> int:
     and one pass over the counts up to n, holding k of them, below; the
     capacity check is that of a table up to n either way.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _integer(n, "n", 0)
     far = _jump_count(spec.k, n, n)
     return next(islice(_stream(spec.k, n), n, None)) if far is None else far
 
@@ -315,10 +351,6 @@ def ratio_diagnostic(spec: RunSpec, n_max: int) -> list[Fraction]:
     strictly below 1.  All ratios are returned; callers decide which
     range to assert on.
     """
-    if n_max <= spec.k:
-        raise DomainError(
-            f"n_max must exceed the run length to form ratios, "
-            f"got n_max={n_max} with k={spec.k}"
-        )
+    _integer(n_max, "n_max", spec.k + 1)
     counts = islice(_stream(spec.k, n_max), spec.k, None)  # c(k..n_max)
     return [Fraction(b, 2 * a) for a, b in pairwise(counts)]

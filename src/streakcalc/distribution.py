@@ -18,9 +18,8 @@ from functools import partial
 from itertools import islice
 
 from .counts import (
-    RunSpec, _jump_count, _partial_sum, _stream, build_count_table, count_at,
+    RunSpec, _integer, _jump_count, _partial_sum, _stream, build_count_table, count_at,
 )
-from .errors import DomainError
 
 # CLI default truncation horizon, as a multiple of the run length.
 DEFAULT_HORIZON_FACTOR = 64
@@ -52,8 +51,7 @@ class PmfRow:
 
 def pmf(spec: RunSpec, n: int) -> Fraction:
     """P(X = n), reduced. Zero for n below the run length."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _integer(n, "n", 1)
     return _dyadic(count_at(spec, n), n)
 
 
@@ -66,8 +64,7 @@ def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
     re-summation.  The final cumulative is always < 1: total mass 1 is
     reached only in the limit.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _integer(n_max, "n_max", 1)
     rows = []
     cum_scaled = 0  # cumulative numerator at denominator 2**n
     for n, c in enumerate(islice(_stream(spec.k, n_max), 1, None), 1):
@@ -91,8 +88,7 @@ def truncated_expectation(spec: RunSpec, n_max: int) -> Fraction:
     jumps the scaled sum's own recurrence; it is still the series.  A
     near one folds the counts as they stream, holding k of them.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _integer(n_max, "n_max", 1)
     return _dyadic(_partial_sum(spec.k, n_max), n_max)
 
 
@@ -104,8 +100,7 @@ def tail_mass(spec: RunSpec, n_max: int) -> Fraction:
     = c(n_max + k + 1) / 2**n_max off one jumped term.  The capacity check
     is that of a table up to n_max either way.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _integer(n_max, "n_max", 1)
     far = _jump_count(spec.k, n_max + spec.k + 1, n_max)
     if far is not None:
         return _dyadic(far, n_max)

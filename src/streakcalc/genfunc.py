@@ -22,22 +22,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counts import RunSpec, _exact, build_count_table, parse_digits
+from .counts import RunSpec, _exact, _integer, _rational, build_count_table
 from .errors import DomainError
 
 Rational = Fraction | int | str
 
 
-def _as_fraction(r: Rational) -> Fraction:
-    try:
-        return parse_digits(Fraction, r) if isinstance(r, str) else Fraction(r)
-    except (ValueError, TypeError, ArithmeticError):
-        raise DomainError(f"not an exact rational: {r!r}")
-
-
 def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
     """The shared denominator 1 - 2r + r**(k+1), exactly."""
-    r = _as_fraction(r)
+    r = _rational(r, "r")
     return 1 - 2 * r + r ** (spec.k + 1)
 
 
@@ -48,7 +41,7 @@ def _point(spec: RunSpec, r: Rational) -> tuple[Fraction, Fraction]:
     would give b**(k+1) - 2a b**k + a**(k+1) = 0, so b | a**(k+1), b = 1
     and r would be an integer.
     """
-    r = _as_fraction(r)
+    r = _rational(r, "r")
     if not 0 < r < 1:
         raise DomainError(f"r must lie strictly inside (0, 1), got {_exact(r)}")
     return r, denominator_core(spec, r)
@@ -113,13 +106,10 @@ def series_matches_closed_form(
     gap is the series tail, so it decreases in n_max; callers assert it
     below whatever bound suits their horizon.
     """
-    r = _as_fraction(r)
+    r = _rational(r, "r")
     if not 0 < r <= Fraction(1, 2):
         raise DomainError(f"r must lie in (0, 1/2], got {_exact(r)}")
-    if n_max < spec.k:
-        raise DomainError(
-            f"n_max must be >= the run length, got n_max={n_max} with k={spec.k}"
-        )
+    _integer(n_max, "n_max", spec.k)
     values = build_count_table(spec, n_max).values
     # With r = a/b, acc ends as sum_i c(i) a**(i-k) b**(n_max-i): the
     # partial sum times b**n_max / a**k, built in integers alone.

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counts import RunSpec, _exact
+from .counts import RunSpec, _exact, _integer, _rational
 from .errors import CapacityError, DomainError
 
 # Exhaustion cap: at most 2**24 sequences per enumeration call.
@@ -57,18 +57,6 @@ def _iter_heads(outcomes) -> Iterator[bool]:
             yield bool(item)
 
 
-def _check_int(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
-def _check_positive(value, what: str) -> None:
-    # RunSpec's checks, without its cap: a k beyond any n finds no run.
-    _check_int(value, what)
-    if value < 1:
-        raise DomainError(f"{what} must be >= 1, got {_exact(value)}")
-
-
 def first_run_index(outcomes, k: int) -> int | None:
     """1-based trial at which the first run of k heads is completed.
 
@@ -76,7 +64,7 @@ def first_run_index(outcomes, k: int) -> int | None:
     truthy-for-heads values.  Returns None when no k-run occurs.
     Single left-to-right scan keeping the current head-run length.
     """
-    _check_positive(k, "run length")
+    _integer(k, "run length", 1)  # RunSpec's check without its cap
     run = 0
     for i, heads in enumerate(_iter_heads(outcomes), start=1):
         run = run + 1 if heads else 0
@@ -86,12 +74,12 @@ def first_run_index(outcomes, k: int) -> int | None:
 
 
 def _check_enum_args(k: int, n: int) -> None:
-    _check_positive(k, "run length")
-    _check_positive(n, "sequence length")
+    _integer(k, "run length", 1)
+    _integer(n, "sequence length", 1)
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exhaustive enumeration capped at 2**{ENUMERATION_CAP} sequences, "
-            f"got n={n}"
+            f"got n={_exact(n)}"
         )
 
 
@@ -187,22 +175,19 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         RunSpec(self.k)  # validates the run length
-        try:
-            object.__setattr__(self, "success_prob", Fraction(self.success_prob))
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise DomainError(f"not a rational probability: {self.success_prob!r}")
-        if not 0 < self.success_prob < 1:
-            p = _exact(self.success_prob)
-            raise DomainError(f"success probability must lie in (0, 1), got {p}")
-        _check_positive(self.trials, "trials")
-        _check_int(self.seed, "seed")
+        p = _rational(self.success_prob, "success probability")
+        if not 0 < p < 1:
+            raise DomainError(f"success probability must lie in (0, 1), got {_exact(p)}")
+        object.__setattr__(self, "success_prob", p)
+        _integer(self.trials, "trials", 1)
+        _integer(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {_exact(self.seed)}")
         if self.max_steps_per_trial is None:
-            (a, b), k = self.success_prob.as_integer_ratio(), self.k
+            (a, b), k = p.as_integer_ratio(), self.k
             cap = 1000 << 64 if _beyond_64_bits(a, b, k) else 1000 * -(-b**k // a**k)
             object.__setattr__(self, "max_steps_per_trial", cap)
-        _check_int(self.max_steps_per_trial, "max_steps_per_trial")
+        _integer(self.max_steps_per_trial, "max_steps_per_trial")
         if self.max_steps_per_trial < self.k:
             cap = _exact(self.max_steps_per_trial)
             raise DomainError(f"max_steps_per_trial must be >= k, got {cap}")

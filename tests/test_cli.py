@@ -277,17 +277,34 @@ def _run_process(*argv, **env):
         # the 4300-digit limit
         ("1" * 4000 + "." + "0" * 3998 + "1e-1000",
          "1" * 4000 + "0" * 3998 + "1/1" + "0" * 4999),
+        ("1e1000000", "1" + "0" * 10**6),
     ],
-    ids=["1e5000", "5000-digit-denominator"],
+    ids=["1e5000", "5000-digit-denominator", "1e1000000"],
 )
 def test_simulate_refuses_a_huge_probability_in_one_line(p, rendered):
     """A p above 1 of any size ends in exit 2 and one stderr line that
-    renders it exactly, past str()'s 4300-digit limit, not a traceback."""
+    renders it exactly, past str()'s 4300-digit limit, not a traceback,
+    within 2 s: a quadratic conversion took 20 s for 10^6 digits."""
+    start = time.perf_counter()
     result = _run_process("simulate", "--k", "3", "--p", p)
+    assert time.perf_counter() - start < 2
     assert result.returncode == EXIT_USAGE, result.stderr
     assert result.stdout == ""
     assert result.stderr == (
         f"streakcalc: success probability must lie in (0, 1), got {rendered}\n"
+    )
+
+
+@pytest.mark.parametrize("p", ["1e-10000000", "1e10000000", "1e-1000001"])
+def test_simulate_refuses_an_exponent_beyond_a_million_in_bounded_time(p):
+    """The parser refuses the exponent before forming 10**|e|, which at
+    1e-10000000 took 8.6 s and at 1e10000000 over 120 s."""
+    start = time.perf_counter()
+    result = _run_process("simulate", "--k", "3", "--p", p)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
+    assert result.stderr.endswith(
+        f"streakcalc simulate: error: argument --p: not a rational number: '{p}'\n"
     )
 
 

@@ -4,8 +4,9 @@ Every argv ends in a result (exit 0) or in exactly one refusal: a usage
 error (exit 2) or a capacity error (exit 3), written to stderr with
 nothing on stdout and no traceback, within a wall bound enforced by a
 timer signal.  Valid values are mixed with junk tokens and numeric
-extremes: probabilities written with up to 10^5 digits, 4300-digit and
-negative counts, and long table caps.  The accepted work is kept small so the whole test takes seconds,
+extremes: probabilities written with up to 10^5 digits or with an
+exponent up to 10^7, 4300-digit and negative counts, and long table
+caps.  The accepted work is kept small so the whole test takes seconds,
 and the long-run probes (k >= 30) must be refused before any work.
 """
 
@@ -33,10 +34,13 @@ class WallBoundExceeded(BaseException):
     program under test can turn it into a refusal."""
 
 DIGITS = st.integers(1, 10**5)
+# parse_digits refuses an exponent beyond 10^6 before forming 10^|e|
+EXPONENT = st.integers(1, 10**7)
 PROBABILITY = st.one_of(
     st.sampled_from(["1/2", "0.5", "3/4", "9/10", "1", "0", "2.5e-1", "1E-3", "-0.5",
                      "inf", "nan", "False", "0x1p-1"]),
-    DIGITS.map(lambda n: f"1e-{n}"),
+    EXPONENT.map(lambda n: f"1e-{n}"),
+    EXPONENT.map(lambda n: f"1e{n}"),
     DIGITS.map(lambda n: "1/1" + "0" * n),
     # A p whose numerator and denominator are both long still forms k-th
     # powers before a refusal: 0.<10^5 nines> at k = 64 and 2^40 trials

@@ -10,6 +10,7 @@ from streakcalc.counts import (
     K_MAX,
     RunSpec,
     TABLE_CAP_ENV,
+    _exact,
     build_count_table,
     count_at,
     decimal_counts,
@@ -199,6 +200,33 @@ def test_parse_digits_reads_any_length():
     assert parse_digits(Fraction, LONG + "." + LONG + "e-10") == Fraction(
         LONG_VALUE * 10**5000 + LONG_VALUE, 10**5010
     )
+    # an exponent is read up to 10**6 in magnitude
+    assert parse_digits(Fraction, "1e-1000000") == Fraction(1, 10**1000000)
+    assert parse_digits(Fraction, "3e+0_000_000_000_002") == 300
+    assert parse_digits(Fraction, LONG + "e-1000000") == Fraction(
+        LONG_VALUE, 10**1000000
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["1e1000001", "1e-1000001", "1e-10000000", "1E+1_000_001", "2.5e-" + LONG]
+)
+def test_parse_digits_refuses_an_exponent_beyond_a_million(text):
+    """10**|e| is never formed for such an exponent: Fraction("1e-10000000")
+    took 11 s."""
+    with pytest.raises(ValueError, match="^exponent beyond 10\\*\\*6$"):
+        parse_digits(Fraction, text)
+
+
+@pytest.mark.parametrize("digits", [1, 4932, 4934, 5001, 40_000])
+def test_exact_renders_every_digit(digits):
+    """Long numbers are written in halves; each half and the joins are
+    exact, for either sign and in either part of a fraction.  Decimal's
+    own conversion, quadratic but exact, is the reference."""
+    n = 7 * 10 ** (digits - 1) + 123456789 * (digits > 9) - 1
+    assert _exact(n) == str(Decimal(n))
+    assert _exact(-n) == str(Decimal(-n))
+    assert _exact(Fraction(n, 3 * n + 1)) == f"{Decimal(n)}/{Decimal(3 * n + 1)}"
 
 
 def test_capacity_env_of_any_length(monkeypatch):

@@ -59,6 +59,14 @@ def test_eval_y_reads_a_rational_of_any_length():
         eval_y(RunSpec(3), "1" + "0" * 5000)
 
 
+def test_eval_y_refuses_an_exponent_beyond_a_million():
+    """parse_digits refuses it, so the rational is refused."""
+    assert eval_y(RunSpec(3), "1e-1000") == eval_y(RunSpec(3), Fraction(1, 10**1000))
+    message = "^r must be an exact rational, got '1e-2000000'$"
+    with pytest.raises(DomainError, match=message):
+        eval_y(RunSpec(3), "1e-2000000")
+
+
 @pytest.mark.parametrize(
     "k, expected",
     [(1, Fraction(4)), (2, Fraction(12)), (3, Fraction(28))],

@@ -120,8 +120,9 @@ def test_demo_imports_resolve(demo):
 
 def test_oracle_imports_no_other_route():
     """The oracles stay independent ground truth: from the package they
-    take only the ``RunSpec`` validator, the number renderer and the
-    error types, never the recurrence or the closed forms."""
+    take only the ``RunSpec`` validator, the argument checks, the number
+    renderer and the error types, never the recurrence or the closed
+    forms."""
     tree = ast.parse((ROOT / "src" / "streakcalc" / "oracle.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -133,4 +134,6 @@ def test_oracle_imports_no_other_route():
             module = (node.module or "").removeprefix("streakcalc.")
             imported |= {(module, alias.name) for alias in node.names}
     assert {m for m, _ in imported} <= {"counts", "errors"}, imported
-    assert {n for m, n in imported if m == "counts"} == {"RunSpec", "_exact"}, imported
+    assert {n for m, n in imported if m == "counts"} == {
+        "RunSpec", "_exact", "_integer", "_rational"
+    }, imported
