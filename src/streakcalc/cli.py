@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import counts as counts_mod
 from . import distribution, genfunc, oracle
@@ -389,17 +389,15 @@ def _verify_checks(k_max: int):
         closed = genfunc.expectation_closed_form(spec)
         if derived != closed:
             problems.append(f"derivative route {derived} != closed form {closed}")
-        horizon = distribution.DEFAULT_HORIZON_FACTOR * k
-        truncated = distribution.truncated_expectation(spec, horizon)
-        # k heads in a row end the run after any history, so
-        # P(X > m + k) <= (1 - 2^-k) P(X > m) and E[X; X > n] is at most
-        # (n + k 2^k) P(X > n) (Feller I, ch. XIII): a bound from the
-        # recurrence and the coin alone, never from the closed form.
-        bound = (horizon + k * 2**k) * distribution.tail_mass(spec, horizon)
-        if not truncated < closed:
-            problems.append(f"truncated {truncated} not below {closed}")
-        elif closed - truncated > bound:
-            problems.append(f"shortfall {closed - truncated} above bound {bound}")
+        n = distribution.DEFAULT_HORIZON_FACTOR * k
+        shortfall = closed - distribution.truncated_expectation(spec, n)
+        # With P(X > i) = c(i + k + 1) / 2^i, the shortfall is exactly
+        # ((n + 1) c(n + k + 1) + c(n + 2k + 2)) / 2^n: from one n to the next,
+        # both sides move alike only where c(m + 1) = 2 c(m) - c(m - k) holds.
+        near, far = islice(counts_mod._stream(k, n + 2 * k + 2), n + k + 1, None, k + 1)
+        tail = Fraction((n + 1) * near + far, 1 << n)
+        if shortfall != tail:
+            problems.append(f"shortfall {shortfall} != tail {tail}")
         yield f"expectation-agreement[k={k}]", problems
 
 

@@ -8,6 +8,8 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import cycle, islice
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -523,7 +525,7 @@ _tail_mass = distribution.tail_mass
 _eval_y = genfunc.eval_y
 _expectation = genfunc.expectation
 _truncated_expectation = distribution.truncated_expectation
-_2_16 = Fraction(1, 1 << 16)
+_2_400 = Fraction(1, 1 << 400)
 
 # One dependency of verify broken at k = 3 (and n = 7, the enumeration
 # horizon n = 14 or the series horizon n = 192): module, name, stand-in,
@@ -544,13 +546,13 @@ VERIFY_FAULTS = [
     (genfunc, "expectation",
      lambda spec: _expectation(spec) + (spec.k == 3),
      "expectation-agreement[k=3]", "derivative route 15 != closed form 14"),
-    # Still below E = 14, but short of it by more than the tail bound
-    # (n + k 2^k) P(X > n) = 216 P(X > 192), whose slack is about 1.4e-6.
+    # The series less 2^-400: the shortfall must equal the counts' tail
+    # exactly, so no slack hides the fault.
     (distribution, "truncated_expectation",
-     lambda spec, n: _truncated_expectation(spec, n) - (spec.k == 3) * _2_16,
+     lambda spec, n: _truncated_expectation(spec, n) - (spec.k == 3) * _2_400,
      "expectation-agreement[k=3]",
-     f"shortfall {14 - _truncated_expectation(counts.RunSpec(3), 192) + _2_16}"
-     f" above bound {216 * _tail_mass(counts.RunSpec(3), 192)}"),
+     f"shortfall {14 - _truncated_expectation(counts.RunSpec(3), 192) + _2_400}"
+     f" != tail {14 - _truncated_expectation(counts.RunSpec(3), 192)}"),
 ]
 
 
@@ -569,6 +571,48 @@ def test_verify_fails_only_the_broken_check(
     failed = [row for row in rows if row["result"] != "PASS"]
     assert failed == [{"check": check, "result": "FAIL", "discrepancy": discrepancy}]
     assert all(row["discrepancy"] == "0" for row in rows if row["check"] != check)
+
+
+def _ring_with(step):
+    """``counts._ring`` with its step c(n + 1) = 2 c(n) - c(n - k) replaced
+    by ``step(ring, i, c, add, sub)``; ring[i] holds c(n - k)."""
+    def ring_(k, n_max, zero, one, add, sub):
+        yield from [zero] * min(k, n_max + 1)
+        if n_max < k:
+            return
+        yield one
+        ring = [zero] * (k - 1) + [one]
+        c = one
+        for i in islice(cycle(range(k)), n_max - k):
+            yield c
+            c, ring[i] = step(ring, i, c, add, sub), c
+    return ring_
+
+
+# A count-kernel fault, and the first k at which it changes a count:
+# c(n - k) read from the next slot (the same slot when k = 1), or
+# subtracted twice.
+KERNEL_MUTANTS = {
+    "slot": (lambda ring, i, c, add, sub: sub(add(c, c), ring[(i + 1) % len(ring)]), 2),
+    "doubled": (lambda ring, i, c, add, sub: sub(sub(add(c, c), ring[i]), ring[i]), 1),
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_verify_sees_a_kernel_fault_at_every_k(capsys, monkeypatch, mutant):
+    """The series agrees with the closed form only through counts that
+    obey the recurrence, so expectation-agreement fails at every k the
+    fault reaches; the enumeration rows see no subtraction for k >= 9."""
+    step, first = KERNEL_MUTANTS[mutant]
+    correct = _ring_with(lambda ring, i, c, add, sub: sub(add(c, c), ring[i]))
+    assert list(correct(5, 300, 0, 1, add, sub)) == list(counts._stream(5, 300))
+    monkeypatch.setattr(counts, "_ring", _ring_with(step))
+    code, out, err = run_cli(capsys, "verify", "--k-max", "64")
+    assert (code, err) == (EXIT_VERIFY_FAILED, "")
+    rows = {row["check"]: row["result"] for row in json.loads(out)["rows"]}
+    assert len(rows) == 256
+    failed = [k for k in range(1, 65) if rows[f"expectation-agreement[k={k}]"] == "FAIL"]
+    assert failed == list(range(first, 65))
 
 
 def test_verify_refuses_long_runs_before_any_check(capsys, monkeypatch):

@@ -6,8 +6,10 @@ nothing on stdout and no traceback, within a wall bound enforced by a
 timer signal.  Valid values are mixed with junk tokens and numeric
 extremes: probabilities written with up to 10^5 digits or with an
 exponent up to 10^7, 4300-digit and negative counts, and long table
-caps.  The accepted work is kept small so the whole test takes seconds,
-and the long-run probes (k >= 30) must be refused before any work.
+caps.  The accepted work is kept small so the whole test takes seconds:
+the generated commands run under a lowered simulation budget, which the
+program enforces itself.  The long-run probes (k >= 30) must be refused
+before any work at the program's own budget.
 """
 
 import io
@@ -27,6 +29,11 @@ JUNK = ["-1", "1/0", "abc", "65", "0.5", "", "True", "9" * 4300, "-" + "9" * 430
 
 # Every example, accepted or refused, ends within this many seconds.
 WALL_S = 2
+
+# The simulation budget the generated commands run under.  The program's
+# own admits minutes of coin flips by design; this one, about a million,
+# keeps every admitted simulation well within WALL_S.
+SIMULATION_FLIP_CAP = 1 << 20
 
 
 class WallBoundExceeded(BaseException):
@@ -144,7 +151,9 @@ def _run_bounded(argv):
 @settings(deadline=None, max_examples=150)
 @given(ARGV, TABLE_CAP)
 def test_every_argv_ends_in_a_result_or_one_refusal(argv, cap):
-    with mock.patch.dict(os.environ):
+    with mock.patch.dict(os.environ), mock.patch.object(
+        oracle, "SIMULATION_FLIP_CAP", SIMULATION_FLIP_CAP
+    ):
         os.environ.pop("STREAKCALC_TABLE_CAP", None)
         if cap is not None:
             os.environ["STREAKCALC_TABLE_CAP"] = cap
