@@ -26,7 +26,7 @@ from decimal import (
     InvalidOperation, Overflow, Rounded,
 )
 from fractions import Fraction
-from itertools import cycle, islice, pairwise
+from itertools import accumulate, cycle, islice, pairwise
 
 from .errors import CapacityError, DomainError
 
@@ -216,10 +216,11 @@ def _jumps(d: int, n: int) -> bool:
     0.58-1.01 of its table time for d from 1 to 28, and in 1.0-1.8 of
     it at half the bound for d <= 12; ``tail_mass`` and
     ``truncated_expectation``, whose table routes cost more, jumped in
-    0.26-0.62 of it.  A squaring costs d**2
-    products of n-bit numbers, so the bound grows faster than d**2.
-    Within the default cap, counts for k >= 30 and partial sums for
-    k >= 15 never jump.
+    0.26-0.62 of it, and the series check, d = k + 1, in 0.14-0.57 of
+    it for k = 1, 3, 6, 12 and 20 at r = 1/2 and 2/5.  A squaring costs
+    d**2 products of n-bit numbers, so the bound grows faster than d**2.
+    Within the default cap, counts for k >= 30, partial sums for k >= 15
+    and the series for k >= 29 never jump.
     """
     return n >= max(512, 4 * d ** 3)
 
@@ -302,6 +303,28 @@ def _partial_sum(k: int, n: int) -> int:
     sq = _square([1] + [-1] * k)  # P(x) = x**k - x**(k-1) - ... - 1
     char = [a - 2 * b for a, b in zip(sq + [0], [0] + sq)]  # (x - 2) P**2
     return _term([-a for a in char[1:]], seeds, n)
+
+
+def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
+    """A(n) = sum of c(i) a**(i-k) b**(n-i) over k <= i <= n, the partial
+    sum of the counting series at r = a/b times b**n / a**k, or None
+    below the crossover of :func:`_jumps`, where a table is the faster
+    route; the capacity check is that of a table up to n.
+
+    A(m) = b A(m-1) + d(m), with d(m) = c(m) a**(m-k) obeying
+    d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_term`
+    jumps the order-(k+1) recurrence of A, whose characteristic
+    polynomial is (x - b) Q(x), Q(x) = x**k - a x**(k-1) - ... - a**k,
+    from A(k..2k).
+    """
+    if not _jumps(k + 1, n):
+        return None
+    _check_table(n)
+    weighted = (c * a**i for i, c in enumerate(islice(_stream(k, 2 * k), k, None)))
+    seeds = list(accumulate(weighted, lambda s, d: b * s + d))
+    q = [1] + [-(a**j) for j in range(1, k + 1)]
+    char = [x - b * y for x, y in zip(q + [0], [0] + q)]  # (x - b) Q(x)
+    return _term([-x for x in char[1:]], seeds, n - k)
 
 
 def build_count_table(spec: RunSpec, n_max: int) -> CountTable:

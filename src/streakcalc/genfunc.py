@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counts import RunSpec, _exact, _integer, _rational, build_count_table
+from .counts import RunSpec, _exact, _integer, _rational, _series_sum, build_count_table
 from .errors import DomainError
 
 Rational = Fraction | int | str
@@ -104,18 +104,22 @@ def series_matches_closed_form(
 
     Valid for r in (0, 1/2], where the series provably converges.  The
     gap is the series tail, so it decreases in n_max; callers assert it
-    below whatever bound suits their horizon.
+    below whatever bound suits their horizon.  The partial sum folds a
+    count table below the crossover of ``counts._jumps`` and jumps its
+    own order-(k+1) recurrence from it on, in O(log n_max) products.
     """
     r = _rational(r, "r")
     if not 0 < r <= Fraction(1, 2):
         raise DomainError(f"r must lie in (0, 1/2], got {_exact(r)}")
     _integer(n_max, "n_max", spec.k)
-    values = build_count_table(spec, n_max).values
-    # With r = a/b, acc ends as sum_i c(i) a**(i-k) b**(n_max-i): the
-    # partial sum times b**n_max / a**k, built in integers alone.
+    # With r = a/b, acc is sum_i c(i) a**(i-k) b**(n_max-i): the partial
+    # sum times b**n_max / a**k, in integers alone.
     a, b = r.numerator, r.denominator
-    acc, power = 0, 1
-    for i in range(spec.k, n_max + 1):
-        acc = acc * b + values[i] * power
-        power *= a
+    acc = _series_sum(spec.k, a, b, n_max)
+    if acc is None:
+        values = build_count_table(spec, n_max).values
+        acc, power = 0, 1
+        for i in range(spec.k, n_max + 1):
+            acc = acc * b + values[i] * power
+            power *= a
     return abs(Fraction(acc * a**spec.k, b**n_max) - eval_y(spec, r))

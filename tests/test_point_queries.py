@@ -1,12 +1,15 @@
 """Point queries of the exact layer: the jump against the count stream.
 
-``count_at``, ``pmf``, ``tail_mass`` and ``truncated_expectation`` jump
-their recurrence by Fiduccia's method once the horizon reaches
-max(512, 4 d**3) (d the recurrence order: k for the counts, 2k + 1 for
-the scaled partial sums) and read the count stream below it.  Both routes
-are checked here against references that share neither: counts summed
-naively over the last k terms, the tail as 1 - sum of c(i) / 2**i and
-the truncated expectation as a plain sum of n c(n) / 2**n.
+``count_at``, ``pmf``, ``tail_mass``, ``truncated_expectation`` and the
+series check ``series_matches_closed_form`` jump their recurrence by
+Fiduccia's method once the horizon reaches max(512, 4 d**3) (d the
+recurrence order: k for the counts, 2k + 1 for the scaled partial sums,
+k + 1 for the scaled series) and read the count stream or a table below
+it.  Both routes are checked here against references that share
+neither: counts summed naively over the last k terms, the tail as
+1 - sum of c(i) / 2**i, the truncated expectation as a plain sum of
+n c(n) / 2**n and the series gap as the partial series summed term by
+term in ``Fraction``s, less the closed form.
 """
 
 import tracemalloc
@@ -22,8 +25,19 @@ from streakcalc import counts
 from streakcalc.counts import TABLE_CAP_ENV, RunSpec, count_at
 from streakcalc.distribution import pmf, tail_mass, truncated_expectation
 from streakcalc.errors import CapacityError
+from streakcalc.genfunc import eval_y, series_matches_closed_form
 
 QUERIES = (count_at, pmf, tail_mass, truncated_expectation)
+SERIES_POINTS = (Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(7, 19))
+
+
+def series(spec: RunSpec, n: int) -> Fraction:
+    """The series check at r = 2/5, as a point query of (spec, n)."""
+    return series_matches_closed_form(spec, Fraction(2, 5), n)
+
+
+# Every query that checks the table cap as if it built a table up to n.
+CAPPED = QUERIES + (series,)
 
 
 def naive_counts(k: int, n_max: int) -> list[int]:
@@ -46,6 +60,12 @@ def reference(k: int, n: int) -> dict:
         tail_mass: 1 - Fraction(below, 1 << n),
         truncated_expectation: Fraction(sum(i * c[i] << (n - i) for i in range(n + 1)), 1 << n),
     }
+
+
+def series_reference(k: int, r: Fraction, n: int) -> Fraction:
+    """|sum of c(i) r**i over k <= i <= n - y(r)|, summed term by term."""
+    c = naive_counts(k, n)
+    return abs(sum(c[i] * r**i for i in range(k, n + 1)) - eval_y(RunSpec(k), r))
 
 
 def streamed_truncated_expectation(k: int, n_max: int) -> Fraction:
@@ -93,6 +113,15 @@ def test_partial_sums_across_the_crossover(k):
         assert tail_mass(RunSpec(k), n) == 1 - Fraction(below, 1 << n)
 
 
+@pytest.mark.parametrize("r", SERIES_POINTS, ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_series_across_the_crossover(k, r):
+    x = crossover(k + 1)
+    assert not counts._jumps(k + 1, x - 1) and counts._jumps(k + 1, x)
+    for n in (x - 1, x, x + 1):
+        assert series_matches_closed_form(RunSpec(k), r, n) == series_reference(k, r, n), n
+
+
 def test_partial_sums_jump_at_k13():
     """k = 13 jumps the order-27 recurrence from n = 78 732 on; the
     reference streams the counts instead of holding a 78 732-row table."""
@@ -111,6 +140,16 @@ def test_jump_equals_window(k, n):
                 assert query(RunSpec(k), n) == want[query], (query.__name__, jump)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 16), extra=st.integers(0, 1500), r=st.sampled_from(SERIES_POINTS))
+def test_series_jump_equals_fold(k, extra, r):
+    n = k + extra
+    want = series_reference(k, r, n)
+    for jump in (True, False):
+        with route(jump):
+            assert series_matches_closed_form(RunSpec(k), r, n) == want, jump
+
+
 def test_jump_below_the_seeds():
     """Horizons shorter than the recurrence order read the seeds."""
     for k in (1, 2, 5):
@@ -119,6 +158,12 @@ def test_jump_below_the_seeds():
             with route(True):
                 for query in QUERIES:
                     assert query(RunSpec(k), n) == want[query]
+        for n in range(k, 2 * k + 3):
+            for r in SERIES_POINTS:
+                with route(True):
+                    assert series_matches_closed_form(RunSpec(k), r, n) == (
+                        series_reference(k, r, n)
+                    )
 
 
 def test_capacity_cases_straddle_the_crossover():
@@ -126,12 +171,13 @@ def test_capacity_cases_straddle_the_crossover():
     assert counts._jumps(1, 999) and counts._jumps(3, 999)
     assert not counts._jumps(8, 999)
     assert counts._jumps(2 * 1 + 1, 999) and not counts._jumps(2 * 3 + 1, 999)
+    assert counts._jumps(1 + 1, 999) and counts._jumps(3 + 1, 999) and not counts._jumps(8 + 1, 999)
 
 
 # k = 1 and k = 3 jump at n = 999, k = 8 does not; truncated_expectation
-# jumps at 999 only for k = 1.
+# jumps at 999 only for k = 1, the series for k = 1 and k = 3.
 @pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("query", CAPPED, ids=lambda q: q.__name__)
 def test_capacity_boundary_unmoved(monkeypatch, k, query):
     monkeypatch.setenv(TABLE_CAP_ENV, "1000")
     query(RunSpec(k), 999)
@@ -157,14 +203,14 @@ def spy_on_window(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("query", CAPPED, ids=lambda q: q.__name__)
 def test_no_table_above_the_crossover(monkeypatch, k, query):
     sizes = spy_on_window(monkeypatch)
     query(RunSpec(k), 20_000)
     assert sizes and max(sizes) <= 2 * k + 2, sizes
 
 
-@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("query", CAPPED, ids=lambda q: q.__name__)
 def test_refusal_above_the_crossover_does_no_work(monkeypatch, query):
     sizes = spy_on_window(monkeypatch)
     monkeypatch.setenv(TABLE_CAP_ENV, "1000")
