@@ -208,19 +208,21 @@ def _ring(k, n_max, zero, one, add, sub):
 
 
 def _jumps(d: int, n: int) -> bool:
-    """Whether :func:`_term` beats a table up to n for term n of an
+    """Whether :func:`_residue` beats a table up to n for term n of an
     order-d recurrence.
 
     Set from timings of both routes (CPython 3.11, medians of 3-5, n up
     to 10**5).  At the bound, max(512, 4 d**3), ``count_at`` jumped in
     0.58-1.01 of its table time for d from 1 to 28, and in 1.0-1.8 of
-    it at half the bound for d <= 12; ``tail_mass`` and
-    ``truncated_expectation``, whose table routes cost more, jumped in
-    0.26-0.62 of it, and the series check, d = k + 1, in 0.14-0.57 of
+    it at half the bound for d <= 12.  ``tail_mass`` and
+    ``truncated_expectation``, d = k, whose other routes cost more,
+    jumped in 0.24-0.87 and 0.19-0.67 of their time for k = 1, 2, 3, 6,
+    8, 12, 16, 20, 24 and 29, and in 0.45-1.05 and 0.33-0.76 of it at
+    half the bound.  The series check, d = k + 1, jumped in 0.14-0.57 of
     it for k = 1, 3, 6, 12 and 20 at r = 1/2 and 2/5.  A squaring costs
     d**2 products of n-bit numbers, so the bound grows faster than d**2.
-    Within the default cap, counts for k >= 30, partial sums for k >= 15
-    and the series for k >= 29 never jump.
+    Within the default cap, counts and partial sums for k >= 30 and the
+    series for k >= 29 never jump.
     """
     return n >= max(512, 4 * d ** 3)
 
@@ -238,13 +240,13 @@ def _square(a: list[int]) -> list[int]:
     return out
 
 
-def _term(q: list[int], init: list[int], e: int) -> int:
-    """Term e of a(n) = q[0] a(n-1) + ... + q[d-1] a(n-d), a(0..d-1) = init.
+def _residue(q: list[int], e: int) -> list[int]:
+    """x**e modulo x**d - q[0] x**(d-1) - ... - q[d-1], d = len(q), as
+    coefficients r[0..d-1] of 1, x, ..., x**(d-1).
 
-    Fiduccia's method: if x**e = r[0] + r[1] x + ... + r[d-1] x**(d-1)
-    modulo the characteristic polynomial x**d - q[0] x**(d-1) - ... - q[d-1],
-    then a(e) = r[0] a(0) + ... + r[d-1] a(d-1).  x**e is found by
-    square-and-multiply, O(log e) products of residues.
+    Fiduccia's method: if a(n) = q[0] a(n-1) + ... + q[d-1] a(n-d), then
+    a(e + j) = r[0] a(j) + ... + r[d-1] a(j + d - 1) for every j >= 0.
+    x**e is found by square-and-multiply, O(log e) products of residues.
     """
     d = len(q)
 
@@ -262,11 +264,11 @@ def _term(q: list[int], init: list[int], e: int) -> int:
         r = fold(_square(r))
         if bit == "1":
             r = fold([0] + r)
-    return sum(ri * ai for ri, ai in zip(r, init))
+    return r
 
 
 def _jump_count(k: int, n: int, horizon: int) -> int | None:
-    """c(n) by :func:`_term` for a query whose table would run to
+    """c(n) by :func:`_residue` for a query whose table would run to
     ``horizon``, or None where that table is the faster route.
 
     The capacity check is that of the table, so the jump never moves the
@@ -277,7 +279,7 @@ def _jump_count(k: int, n: int, horizon: int) -> int | None:
     if not _jumps(k, horizon):
         return None
     _check_table(horizon)
-    return _term([1] * k, list(_stream(k, k))[1:], n - 1)
+    return sum(map(operator.mul, _residue([1] * k, n - 1), list(_stream(k, k))[1:]))
 
 
 def _partial_sum(k: int, n: int) -> int:
@@ -285,24 +287,26 @@ def _partial_sum(k: int, n: int) -> int:
     that of a table up to n.
 
     S(n) = 2 S(n-1) + n c(n), folded over the count stream below the
-    crossover of :func:`_jumps`.  From it on, :func:`_term` jumps the
-    order-(2k+1) recurrence that S obeys, whose characteristic
-    polynomial is (x - 2) P(x)**2, P that of the counts, from S(0..2k);
-    it is still the series.
+    crossover of :func:`_jumps`.  From it on, with T(m) = sum of
+    c(i) 2**(m-i) over i <= m = 2**m - c(m+k+1) (as in ``tail_mass``),
+    summation by parts gives S(n) = sum of 2**(n-m) c(m+k+1) over m < n,
+    less n c(n+k+1), and that sum is 2 (T(n+k) - 2**n T(k)), so
+    S(n) = 2**(n+1) c(2k+1) - n c(n+k+1) - 2 c(n+2k+1).  One residue of
+    x**(n+k) for b(m) = c(m+1) gives c(n+k+1) off b(0..k-1) and
+    c(n+2k+1) off b(k..2k-1); c(2k+1) is streamed.  It is still the
+    series, never the closed form.
     """
-    if not _jumps(2 * k + 1, n):
+    if not _jumps(k, n):
         acc = 0
         for i, c in enumerate(_stream(k, n)):
             acc = 2 * acc + i * c
         return acc
     _check_table(n)
-    c = list(_stream(k, 2 * k))
-    seeds = [0]
-    for i in range(1, 2 * k + 1):
-        seeds.append(2 * seeds[-1] + i * c[i])
-    sq = _square([1] + [-1] * k)  # P(x) = x**k - x**(k-1) - ... - 1
-    char = [a - 2 * b for a, b in zip(sq + [0], [0] + sq)]  # (x - 2) P**2
-    return _term([-a for a in char[1:]], seeds, n)
+    c = list(_stream(k, 2 * k + 1))
+    r = _residue([1] * k, n + k)
+    near = sum(map(operator.mul, r, c[1:k + 1]))  # c(n + k + 1)
+    far = sum(map(operator.mul, r, c[k + 1:2 * k + 1]))  # c(n + 2k + 1)
+    return (c[2 * k + 1] << (n + 1)) - n * near - 2 * far
 
 
 def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
@@ -312,7 +316,7 @@ def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
     route; the capacity check is that of a table up to n.
 
     A(m) = b A(m-1) + d(m), with d(m) = c(m) a**(m-k) obeying
-    d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_term`
+    d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_residue`
     jumps the order-(k+1) recurrence of A, whose characteristic
     polynomial is (x - b) Q(x), Q(x) = x**k - a x**(k-1) - ... - a**k,
     from A(k..2k).
@@ -324,7 +328,7 @@ def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
     seeds = list(accumulate(weighted, lambda s, d: b * s + d))
     q = [1] + [-(a**j) for j in range(1, k + 1)]
     char = [x - b * y for x, y in zip(q + [0], [0] + q)]  # (x - b) Q(x)
-    return _term([-x for x in char[1:]], seeds, n - k)
+    return sum(map(operator.mul, _residue([-x for x in char[1:]], n - k), seeds))
 
 
 def build_count_table(spec: RunSpec, n_max: int) -> CountTable:

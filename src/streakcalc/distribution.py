@@ -12,7 +12,7 @@ Everything in this module is exact rational arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -35,18 +35,15 @@ _coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(
 def _dyadic(num: int, n: int) -> Fraction:
     """num / 2**n in lowest terms, for num >= 0, reduced by the trailing
     zeros of num rather than by a gcd."""
+    if num & 1:
+        return _coprime(num, 1 << n)
     shift = min(n, (num & -num).bit_length() - 1) if num else n
     return _coprime(num >> shift, 1 << (n - shift))
 
 
-@dataclass(frozen=True)
-class PmfRow:
-    """One row of the tabulated distribution: exact mass and CDF at n."""
-
-    n: int
-    count: int
-    mass: Fraction
-    cumulative: Fraction
+PmfRow = namedtuple("PmfRow", "n count mass cumulative")
+PmfRow.__doc__ = """One row of the tabulated distribution: exact mass and CDF at n.
+An immutable named tuple."""
 
 
 def pmf(spec: RunSpec, n: int) -> Fraction:
@@ -69,14 +66,7 @@ def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
     cum_scaled = 0  # cumulative numerator at denominator 2**n
     for n, c in enumerate(islice(_stream(spec.k, n_max), 1, None), 1):
         cum_scaled = 2 * cum_scaled + c
-        rows.append(
-            PmfRow(
-                n=n,
-                count=c,
-                mass=_dyadic(c, n),
-                cumulative=_dyadic(cum_scaled, n),
-            )
-        )
+        rows.append(PmfRow(n, c, _dyadic(c, n), _dyadic(cum_scaled, n)))
     return rows
 
 
@@ -84,9 +74,12 @@ def truncated_expectation(spec: RunSpec, n_max: int) -> Fraction:
     """Exact partial sum of n * P(X = n) for n = 1..n_max.
 
     Monotone non-decreasing in n_max and strictly below the full
-    expectation 2 (2**k - 1) for every finite horizon.  A far horizon
-    jumps the scaled sum's own recurrence; it is still the series.  A
-    near one folds the counts as they stream, holding k of them.
+    expectation 2 (2**k - 1) for every finite horizon.  With n = n_max,
+    summation by parts and the identity of :func:`tail_mass` give
+    2**n E[X; X <= n] = 2**(n+1) c(2k+1) - n c(n+k+1) - 2 c(n+2k+1), and
+    a far horizon reads c(2k+1) off the count stream and the other two
+    off one jumped residue: it is still the series, from counts alone.
+    A near horizon folds the counts as they stream, holding k of them.
     """
     _integer(n_max, "n_max", 1)
     return _dyadic(_partial_sum(spec.k, n_max), n_max)

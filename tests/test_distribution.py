@@ -9,6 +9,7 @@ from streakcalc.counts import (
     TABLE_CAP_ENV, RunSpec, build_count_table, ratio_diagnostic,
 )
 from streakcalc.distribution import (
+    PmfRow,
     _dyadic,
     pmf,
     pmf_table,
@@ -66,6 +67,17 @@ def test_pmf_table_fibonacci_case():
         Fraction(1, 2),
     ]
     assert [r.count for r in rows] == [0, 1, 1, 2]
+
+
+def test_pmf_row_is_an_immutable_named_tuple():
+    row = pmf_table(RunSpec(2), 4)[3]
+    with pytest.raises(AttributeError):
+        row.mass = Fraction(1, 2)
+    assert tuple(row) == (4, 2, Fraction(1, 8), Fraction(1, 2))
+    assert repr(row) == "PmfRow(n=4, count=2, mass=Fraction(1, 8), cumulative=Fraction(1, 2))"
+    far = pmf_table(RunSpec(4), 31)[30]
+    built = PmfRow(31, far.count, far.mass, far.cumulative)
+    assert built == far and (built.n, built.count) == (31, counts.count_at(RunSpec(4), 31))
 
 
 def test_pmf_table_all_zero_below_run_length():

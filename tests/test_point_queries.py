@@ -3,10 +3,10 @@
 ``count_at``, ``pmf``, ``tail_mass``, ``truncated_expectation`` and the
 series check ``series_matches_closed_form`` jump their recurrence by
 Fiduccia's method once the horizon reaches max(512, 4 d**3) (d the
-recurrence order: k for the counts, 2k + 1 for the scaled partial sums,
-k + 1 for the scaled series) and read the count stream or a table below
-it.  Both routes are checked here against references that share
-neither: counts summed naively over the last k terms, the tail as
+recurrence order: k for the counts, whose residue also gives the
+partial sums, k + 1 for the scaled series) and read the count stream or
+a table below it.  Both routes are checked here against references that
+share neither: counts summed naively over the last k terms, the tail as
 1 - sum of c(i) / 2**i, the truncated expectation as a plain sum of
 n c(n) / 2**n and the series gap as the partial series summed term by
 term in ``Fraction``s, less the closed form.
@@ -26,6 +26,7 @@ from streakcalc.counts import TABLE_CAP_ENV, RunSpec, count_at
 from streakcalc.distribution import pmf, tail_mass, truncated_expectation
 from streakcalc.errors import CapacityError
 from streakcalc.genfunc import eval_y, series_matches_closed_form
+from test_acceptance import _block_horizon
 
 QUERIES = (count_at, pmf, tail_mass, truncated_expectation)
 SERIES_POINTS = (Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(7, 19))
@@ -100,11 +101,10 @@ def test_counts_across_the_crossover(k):
         assert pmf(RunSpec(k), n) == Fraction(c[n], 1 << n)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 13])
 def test_partial_sums_across_the_crossover(k):
-    d = 2 * k + 1
-    x = crossover(d)
-    assert not counts._jumps(d, x - 1) and counts._jumps(d, x)
+    x = crossover(k)
+    assert not counts._jumps(k, x - 1) and counts._jumps(k, x)
     c = naive_counts(k, x + k + 2)
     for n in (x - 1, x, x + 1):
         want = sum(i * c[i] << (n - i) for i in range(n + 1))
@@ -123,10 +123,11 @@ def test_series_across_the_crossover(k, r):
 
 
 def test_partial_sums_jump_at_k13():
-    """k = 13 jumps the order-27 recurrence from n = 78 732 on; the
-    reference streams the counts instead of holding a 78 732-row table."""
-    n = crossover(27)
-    assert counts._jumps(27, n) and not counts._jumps(27, n - 1)
+    """k = 13 reads the partial sum off the counts' order-13 residue from
+    n = 8788 on; the reference streams the counts instead of holding a
+    table."""
+    n = crossover(13)
+    assert n == 8788 and counts._jumps(13, n) and not counts._jumps(13, n - 1)
     assert truncated_expectation(RunSpec(13), n) == streamed_truncated_expectation(13, n)
 
 
@@ -166,16 +167,49 @@ def test_jump_below_the_seeds():
                     )
 
 
-def test_capacity_cases_straddle_the_crossover():
+def test_partial_sum_jump_near_the_seeds():
+    """The partial sum read off the residue of x**(n+k) matches the plain
+    sum from the first horizons on, where c(n+k+1) and c(n+2k+1) are
+    still seeds or the first terms past them."""
+    for k in range(1, 13):
+        for n in range(1, 3 * k + 4):
+            with route(True):
+                got = truncated_expectation(RunSpec(k), n)
+            assert got == reference(k, n)[truncated_expectation], (k, n)
+
+
+def test_verify_horizon_folds():
+    """``verify``'s expectation-agreement row compares the truncated
+    expectation at n = 64k with 2**n (2 (2**k - 1) - E[X; X <= n]) =
+    (n + 1) c(n+k+1) + c(n+2k+2).  Above the crossover the truncated
+    expectation is read off that same identity, so the row would compare
+    the identity with itself; at 64k it must still fold the series."""
+    assert not any(counts._jumps(k, 64 * k) for k in range(1, 65))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_criterion_6_sees_the_folded_series(k):
+    """At the horizons of acceptance criterion 6 the public value is the
+    series summed term by term, so the criterion still sees the series
+    converge, whichever route the horizon takes."""
+    n = max(64 * k, _block_horizon(k, Fraction(1, 10**9), lambda j, q_j: k * q_j * (j + 2**k)))
+    with route(False):
+        folded = truncated_expectation(RunSpec(k), n)
+    assert truncated_expectation(RunSpec(k), n) == folded
+
+
+def test_capacity_cases_straddle_the_crossover(monkeypatch):
     """The cases below take both routes at n = 999."""
     assert counts._jumps(1, 999) and counts._jumps(3, 999)
     assert not counts._jumps(8, 999)
-    assert counts._jumps(2 * 1 + 1, 999) and not counts._jumps(2 * 3 + 1, 999)
+    sizes = spy_on_window(monkeypatch)
+    for k in (1, 3, 8):
+        truncated_expectation(RunSpec(k), 999)
+    assert sizes == [2 * 1 + 2, 2 * 3 + 2, 1000]  # the partial sums follow order k
     assert counts._jumps(1 + 1, 999) and counts._jumps(3 + 1, 999) and not counts._jumps(8 + 1, 999)
 
 
-# k = 1 and k = 3 jump at n = 999, k = 8 does not; truncated_expectation
-# jumps at 999 only for k = 1, the series for k = 1 and k = 3.
+# k = 1 and k = 3 jump at n = 999 and k = 8 does not, for every query.
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("query", CAPPED, ids=lambda q: q.__name__)
 def test_capacity_boundary_unmoved(monkeypatch, k, query):
