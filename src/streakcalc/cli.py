@@ -365,6 +365,19 @@ def _verify_checks(k_max: int):
             if got << (n0 - m) != ends[m]:
                 want = Fraction(ends[m], 1 << (n0 - m))
                 mismatches.append(f"n={m}: recurrence {got} != enumeration {want}")
+        # Each far route at a small horizon, against values checked here
+        # or by the identity at 64k; from 2k + 2 on, the residue folds.
+        m = 2 * k + 2
+        c = list(counts_mod._stream(k, m))
+        for what, n, got, want in (
+            ("partial sum", n0, counts_mod._jump_partial_sum(k, n0),
+             sum(i * e for i, e in enumerate(ends))),
+            ("count", m, counts_mod._jump_count(k, m), c[m]),
+            ("series sum", m, counts_mod._series_sum(k, 1, 2, m),
+             sum(x << (m - i) for i, x in enumerate(c))),
+        ):
+            if got != want:
+                mismatches.append(f"jumped {what} at n={n}: {got} != {want}")
         yield f"recurrence-vs-enumeration[k={k}]", mismatches
 
         problems = []

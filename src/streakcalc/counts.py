@@ -209,7 +209,8 @@ def _ring(k, n_max, zero, one, add, sub):
 
 def _jumps(d: int, n: int) -> bool:
     """Whether :func:`_residue` beats a table up to n for term n of an
-    order-d recurrence.
+    order-d recurrence; if so, the capacity check of that table runs
+    here, before any work, so the jump never moves the cap boundary.
 
     Set from timings of both routes (CPython 3.11, medians of 3-5, n up
     to 10**5).  At the bound, max(512, 4 d**3), ``count_at`` jumped in
@@ -222,9 +223,14 @@ def _jumps(d: int, n: int) -> bool:
     it for k = 1, 3, 6, 12 and 20 at r = 1/2 and 2/5.  A squaring costs
     d**2 products of n-bit numbers, so the bound grows faster than d**2.
     Within the default cap, counts and partial sums for k >= 30 and the
-    series for k >= 29 never jump.
+    series for k >= 29 never jump.  The partial sums' jump wins from
+    about 2 k**3, but benchmarked horizons jump at 5 or more times the
+    bound, or fold where a jump saves microseconds: one bound serves.
     """
-    return n >= max(512, 4 * d ** 3)
+    if n < max(512, 4 * d ** 3):
+        return False
+    _check_table(n)
+    return True
 
 
 def _square(a: list[int]) -> list[int]:
@@ -267,41 +273,36 @@ def _residue(q: list[int], e: int) -> list[int]:
     return r
 
 
-def _jump_count(k: int, n: int, horizon: int) -> int | None:
-    """c(n) by :func:`_residue` for a query whose table would run to
-    ``horizon``, or None where that table is the faster route.
-
-    The capacity check is that of the table, so the jump never moves the
-    cap boundary.  b(m) = c(m + 1) obeys the k-step recurrence from m = k
-    on, with seeds b(0..k-1) = 0, ..., 0, 1, so c(n) is the top
-    coefficient of x**(n-1) modulo x**k - x**(k-1) - ... - 1.
-    """
-    if not _jumps(k, horizon):
-        return None
-    _check_table(horizon)
+def _jump_count(k: int, n: int) -> int:
+    """c(n), n >= 1, by :func:`_residue`: b(m) = c(m + 1) obeys the k-step
+    recurrence from m = k on, with seeds b(0..k-1) = 0, ..., 0, 1, so c(n)
+    is the top coefficient of x**(n-1) modulo x**k - x**(k-1) - ... - 1."""
     return sum(map(operator.mul, _residue([1] * k, n - 1), list(_stream(k, k))[1:]))
 
 
 def _partial_sum(k: int, n: int) -> int:
-    """S(n) = sum of i c(i) 2**(n-i) over i <= n; the capacity check is
-    that of a table up to n.
+    """S(n) = sum of i c(i) 2**(n-i) over i <= n: the stream folded by
+    S(n) = 2 S(n-1) + n c(n) below the crossover of :func:`_jumps`, and
+    :func:`_jump_partial_sum` from it on."""
+    if _jumps(k, n):
+        return _jump_partial_sum(k, n)
+    acc = 0
+    for i, c in enumerate(_stream(k, n)):
+        acc = 2 * acc + i * c
+    return acc
 
-    S(n) = 2 S(n-1) + n c(n), folded over the count stream below the
-    crossover of :func:`_jumps`.  From it on, with T(m) = sum of
-    c(i) 2**(m-i) over i <= m = 2**m - c(m+k+1) (as in ``tail_mass``),
-    summation by parts gives S(n) = sum of 2**(n-m) c(m+k+1) over m < n,
-    less n c(n+k+1), and that sum is 2 (T(n+k) - 2**n T(k)), so
+
+def _jump_partial_sum(k: int, n: int) -> int:
+    """S(n) of :func:`_partial_sum`, n >= 1, off one residue.  With
+    T(m) = sum of c(i) 2**(m-i) over i <= m = 2**m - c(m+k+1) (as in
+    ``tail_mass``), summation by parts gives S(n) = sum of 2**(n-m)
+    c(m+k+1) over m < n, less n c(n+k+1), and that sum is
+    2 (T(n+k) - 2**n T(k)), so
     S(n) = 2**(n+1) c(2k+1) - n c(n+k+1) - 2 c(n+2k+1).  One residue of
     x**(n+k) for b(m) = c(m+1) gives c(n+k+1) off b(0..k-1) and
     c(n+2k+1) off b(k..2k-1); c(2k+1) is streamed.  It is still the
     series, never the closed form.
     """
-    if not _jumps(k, n):
-        acc = 0
-        for i, c in enumerate(_stream(k, n)):
-            acc = 2 * acc + i * c
-        return acc
-    _check_table(n)
     c = list(_stream(k, 2 * k + 1))
     r = _residue([1] * k, n + k)
     near = sum(map(operator.mul, r, c[1:k + 1]))  # c(n + k + 1)
@@ -309,11 +310,9 @@ def _partial_sum(k: int, n: int) -> int:
     return (c[2 * k + 1] << (n + 1)) - n * near - 2 * far
 
 
-def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
-    """A(n) = sum of c(i) a**(i-k) b**(n-i) over k <= i <= n, the partial
-    sum of the counting series at r = a/b times b**n / a**k, or None
-    below the crossover of :func:`_jumps`, where a table is the faster
-    route; the capacity check is that of a table up to n.
+def _series_sum(k: int, a: int, b: int, n: int) -> int:
+    """A(n) = sum of c(i) a**(i-k) b**(n-i) over k <= i <= n, for n >= k:
+    the partial sum of the counting series at r = a/b times b**n / a**k.
 
     A(m) = b A(m-1) + d(m), with d(m) = c(m) a**(m-k) obeying
     d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_residue`
@@ -321,9 +320,6 @@ def _series_sum(k: int, a: int, b: int, n: int) -> int | None:
     polynomial is (x - b) Q(x), Q(x) = x**k - a x**(k-1) - ... - a**k,
     from A(k..2k).
     """
-    if not _jumps(k + 1, n):
-        return None
-    _check_table(n)
     weighted = (c * a**i for i, c in enumerate(islice(_stream(k, 2 * k), k, None)))
     seeds = list(accumulate(weighted, lambda s, d: b * s + d))
     q = [1] + [-(a**j) for j in range(1, k + 1)]
@@ -364,8 +360,9 @@ def count_at(spec: RunSpec, n: int) -> int:
     capacity check is that of a table up to n either way.
     """
     _integer(n, "n", 0)
-    far = _jump_count(spec.k, n, n)
-    return next(islice(_stream(spec.k, n), n, None)) if far is None else far
+    if _jumps(spec.k, n):
+        return _jump_count(spec.k, n)
+    return next(islice(_stream(spec.k, n), n, None))
 
 
 def ratio_diagnostic(spec: RunSpec, n_max: int) -> list[Fraction]:

@@ -18,7 +18,8 @@ from functools import partial
 from itertools import islice
 
 from .counts import (
-    RunSpec, _integer, _jump_count, _partial_sum, _stream, build_count_table, count_at,
+    RunSpec, _integer, _jump_count, _jumps, _partial_sum, _stream, build_count_table,
+    count_at,
 )
 
 # CLI default truncation horizon, as a multiple of the run length.
@@ -94,9 +95,8 @@ def tail_mass(spec: RunSpec, n_max: int) -> Fraction:
     is that of a table up to n_max either way.
     """
     _integer(n_max, "n_max", 1)
-    far = _jump_count(spec.k, n_max + spec.k + 1, n_max)
-    if far is not None:
-        return _dyadic(far, n_max)
+    if _jumps(spec.k, n_max):
+        return _dyadic(_jump_count(spec.k, n_max + spec.k + 1), n_max)
     values = build_count_table(spec, n_max).values
     cum_scaled = 0
     for n in range(1, n_max + 1):

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counts import RunSpec, _exact, _integer, _rational, _series_sum, build_count_table
+from .counts import (
+    RunSpec, _exact, _integer, _jumps, _rational, _series_sum, build_count_table,
+)
 from .errors import DomainError
 
 Rational = Fraction | int | str
@@ -115,8 +117,9 @@ def series_matches_closed_form(
     # With r = a/b, acc is sum_i c(i) a**(i-k) b**(n_max-i): the partial
     # sum times b**n_max / a**k, in integers alone.
     a, b = r.numerator, r.denominator
-    acc = _series_sum(spec.k, a, b, n_max)
-    if acc is None:
+    if _jumps(spec.k + 1, n_max):
+        acc = _series_sum(spec.k, a, b, n_max)
+    else:
         values = build_count_table(spec, n_max).values
         acc, power = 0, 1
         for i in range(spec.k, n_max + 1):

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: formats, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import os
@@ -613,6 +614,38 @@ def test_verify_sees_a_kernel_fault_at_every_k(capsys, monkeypatch, mutant):
     assert len(rows) == 256
     failed = [k for k in range(1, 65) if rows[f"expectation-agreement[k={k}]"] == "FAIL"]
     assert failed == list(range(first, 65))
+
+
+# A fault in the jump: one edit to the source of a function of
+# ``counts``, and the first k at which it changes a far route (a
+# residue of order 1 forms no cross product, and for k = 1 every
+# count from c(1) on is 1).
+JUMP_MUTANTS = {
+    "residue": ("_residue", "    return r\n", "    r[0] += 1\n    return r\n", 1),
+    "square": ("_square", "x2 = x << 1", "x2 = x", 2),
+    "partial-sum": ("_jump_partial_sum", "- n * near", "+ n * near", 1),
+    "series-seeds": (
+        "_series_sum", "_stream(k, 2 * k), k,", "_stream(k, 2 * k + 1), k + 1,", 2
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", JUMP_MUTANTS)
+def test_verify_sees_a_jump_fault(capsys, monkeypatch, mutant):
+    """``verify``'s horizons all fold, so it runs each far route at a
+    small horizon itself, inside the enumeration row."""
+    name, old, new, first = JUMP_MUTANTS[mutant]
+    source = inspect.getsource(getattr(counts, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(counts))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(counts, name, namespace[name])
+    code, out, err = run_cli(capsys, "verify", "--k-max", "64")
+    assert (code, err) == (EXIT_VERIFY_FAILED, "")
+    rows = json.loads(out)["rows"]
+    failed = [row["check"] for row in rows if row["result"] == "FAIL"]
+    assert failed == [f"recurrence-vs-enumeration[k={k}]" for k in range(first, 65)]
+    assert all("jumped" in row["discrepancy"] for row in rows if row["result"] == "FAIL")
 
 
 def test_verify_refuses_long_runs_before_any_check(capsys, monkeypatch):

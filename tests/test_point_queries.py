@@ -5,7 +5,12 @@ series check ``series_matches_closed_form`` jump their recurrence by
 Fiduccia's method once the horizon reaches max(512, 4 d**3) (d the
 recurrence order: k for the counts, whose residue also gives the
 partial sums, k + 1 for the scaled series) and read the count stream or
-a table below it.  Both routes are checked here against references that
+a table below it.  The gate ``counts._jumps`` makes that choice, and
+checks the table cap where it jumps; the far routes ``_jump_count``,
+``_jump_partial_sum`` and ``_series_sum`` are plain functions of any
+horizon, called here directly at small ones.  ``route`` forces the
+public queries onto one branch, skipping the cap check, so the capacity
+tests never use it.  Both routes are checked against references that
 share neither: counts summed naively over the last k terms, the tail as
 1 - sum of c(i) / 2**i, the truncated expectation as a plain sum of
 n c(n) / 2**n and the series gap as the partial series summed term by
@@ -14,6 +19,7 @@ term in ``Fraction``s, less the closed form.
 
 import tracemalloc
 from collections import deque
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcalc import counts
+from streakcalc import counts, distribution, genfunc
 from streakcalc.counts import TABLE_CAP_ENV, RunSpec, count_at
 from streakcalc.distribution import pmf, tail_mass, truncated_expectation
 from streakcalc.errors import CapacityError
@@ -82,9 +88,14 @@ def streamed_truncated_expectation(k: int, n_max: int) -> Fraction:
     return Fraction(acc, 1 << n_max)
 
 
+@contextmanager
 def route(jump: bool):
-    """Force every point query onto the jump or onto the count stream."""
-    return mock.patch.object(counts, "_jumps", lambda d, n: jump)
+    """Force every point query onto the jump or onto the count stream,
+    in each module that reads the gate; the cap check is skipped."""
+    with ExitStack() as stack:
+        for module in (counts, distribution, genfunc):
+            stack.enter_context(mock.patch.object(module, "_jumps", lambda d, n: jump))
+        yield
 
 
 def crossover(d: int) -> int:
@@ -152,19 +163,17 @@ def test_series_jump_equals_fold(k, extra, r):
 
 
 def test_jump_below_the_seeds():
-    """Horizons shorter than the recurrence order read the seeds."""
-    for k in (1, 2, 5):
-        for n in range(1, 2 * k + 3):
+    """The far routes are exact at any horizon, also where they read
+    only seeds: each is called directly, below the crossover."""
+    for k in range(1, 13):
+        for n in range(1, 3 * k + 4):
             want = reference(k, n)
-            with route(True):
-                for query in QUERIES:
-                    assert query(RunSpec(k), n) == want[query]
-        for n in range(k, 2 * k + 3):
-            for r in SERIES_POINTS:
-                with route(True):
-                    assert series_matches_closed_form(RunSpec(k), r, n) == (
-                        series_reference(k, r, n)
-                    )
+            assert counts._jump_count(k, n) == want[count_at], (k, n)
+            assert Fraction(counts._jump_count(k, n + k + 1), 1 << n) == want[tail_mass]
+            for r in SERIES_POINTS if n >= k else ():
+                a, b = r.numerator, r.denominator
+                got = Fraction(counts._series_sum(k, a, b, n) * a**k, b**n)
+                assert abs(got - eval_y(RunSpec(k), r)) == series_reference(k, r, n)
 
 
 def test_partial_sum_jump_near_the_seeds():
@@ -173,9 +182,20 @@ def test_partial_sum_jump_near_the_seeds():
     still seeds or the first terms past them."""
     for k in range(1, 13):
         for n in range(1, 3 * k + 4):
-            with route(True):
-                got = truncated_expectation(RunSpec(k), n)
+            got = Fraction(counts._jump_partial_sum(k, n), 1 << n)
             assert got == reference(k, n)[truncated_expectation], (k, n)
+
+
+def test_gate_checks_the_cap_only_where_it_jumps(monkeypatch):
+    """Below the crossover the gate reads no cap, and the caller's table
+    or stream checks it; from the crossover on, the gate checks it."""
+    monkeypatch.setenv(TABLE_CAP_ENV, "1")
+    assert counts._jumps(3, 511) is False
+    with pytest.raises(CapacityError) as info:
+        counts._jumps(3, 512)
+    assert str(info.value) == (
+        "table of 513 entries exceeds cap of 1 (override with STREAKCALC_TABLE_CAP)"
+    )
 
 
 def test_verify_horizon_folds():
