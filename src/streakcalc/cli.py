@@ -366,8 +366,9 @@ def _verify_checks(k_max: int):
                 want = Fraction(ends[m], 1 << (n0 - m))
                 mismatches.append(f"n={m}: recurrence {got} != enumeration {want}")
         # Each far route at a small horizon, against values checked here
-        # or by the identity at 64k; from 2k + 2 on, the residue folds.
-        m = 2 * k + 2
+        # or by the identity at 64k; from 4k + 4 on, a residue of half the
+        # horizon folds and then squares a folded residue.
+        m = 4 * k + 4
         c = list(counts_mod._stream(k, m))
         for what, n, got, want in (
             ("partial sum", n0, counts_mod._jump_partial_sum(k, n0),

@@ -208,24 +208,24 @@ def _ring(k, n_max, zero, one, add, sub):
 
 
 def _jumps(d: int, n: int) -> bool:
-    """Whether :func:`_residue` beats a table up to n for term n of an
+    """Whether :func:`_jump` beats a table up to n for term n of an
     order-d recurrence; if so, the capacity check of that table runs
     here, before any work, so the jump never moves the cap boundary.
 
-    Set from timings of both routes (CPython 3.11, medians of 3-5, n up
-    to 10**5).  At the bound, max(512, 4 d**3), ``count_at`` jumped in
-    0.58-1.01 of its table time for d from 1 to 28, and in 1.0-1.8 of
-    it at half the bound for d <= 12.  ``tail_mass`` and
-    ``truncated_expectation``, d = k, whose other routes cost more,
-    jumped in 0.24-0.87 and 0.19-0.67 of their time for k = 1, 2, 3, 6,
-    8, 12, 16, 20, 24 and 29, and in 0.45-1.05 and 0.33-0.76 of it at
-    half the bound.  The series check, d = k + 1, jumped in 0.14-0.57 of
+    Set from timings of both routes (CPython 3.11, 2-core x86-64, the
+    lesser of two medians of 5, n up to 10**5).  At the bound,
+    max(512, 4 d**3), ``count_at`` jumped in 0.36-0.75 of its fold time
+    for d from 1 to 28, and in 0.58-1.50 of it at half the bound, above 1
+    for d = 3, 4, 6.  ``tail_mass`` and ``truncated_expectation``, d = k,
+    jumped in 0.17-0.38 and 0.15-0.31 of their time for k = 1, 2, 3, 6,
+    8, 12, 16, 20, 24 and 29, and in 0.20-0.71 and 0.13-0.58 of it at
+    half the bound.  The series check, d = k + 1, jumped in 0.05-0.47 of
     it for k = 1, 3, 6, 12 and 20 at r = 1/2 and 2/5.  A squaring costs
     d**2 products of n-bit numbers, so the bound grows faster than d**2.
     Within the default cap, counts and partial sums for k >= 30 and the
-    series for k >= 29 never jump.  The partial sums' jump wins from
-    about 2 k**3, but benchmarked horizons jump at 5 or more times the
-    bound, or fold where a jump saves microseconds: one bound serves.
+    series for k >= 29 never jump.  Most jumps win below the bound, but
+    benchmarked horizons jump at 5 or more times the bound, or fold
+    where a jump saves microseconds: one bound serves.
     """
     if n < max(512, 4 * d ** 3):
         return False
@@ -273,11 +273,20 @@ def _residue(q: list[int], e: int) -> list[int]:
     return r
 
 
+def _jump(q: list[int], e: int, seeds: list[int]) -> int:
+    """a(e) for a(n) = q[0] a(n-1) + ... + q[d-1] a(n-d), n >= d, off
+    seeds a(0..2d-1).  With r the residue of x**h, e = 2h + o, x**e =
+    x**o (x**h)**2 gives a(e) = sum of r[i] r[l] a(i + l + o), a Hankel
+    form: d**2 products by small seeds and d big ones, where a last
+    squaring and fold would form d (d + 1) / 2 big products."""
+    r, seeds = _residue(q, e // 2), seeds[e % 2:]
+    return sum(x * sum(map(operator.mul, r, seeds[i:])) for i, x in enumerate(r))
+
+
 def _jump_count(k: int, n: int) -> int:
-    """c(n), n >= 1, by :func:`_residue`: b(m) = c(m + 1) obeys the k-step
-    recurrence from m = k on, with seeds b(0..k-1) = 0, ..., 0, 1, so c(n)
-    is the top coefficient of x**(n-1) modulo x**k - x**(k-1) - ... - 1."""
-    return sum(map(operator.mul, _residue([1] * k, n - 1), list(_stream(k, k))[1:]))
+    """c(n), n >= 1, by :func:`_jump`: b(m) = c(m + 1) obeys the k-step
+    recurrence from m = k on, so c(n) = b(n - 1), off c(1..2k)."""
+    return _jump([1] * k, n - 1, list(_stream(k, 2 * k))[1:])
 
 
 def _partial_sum(k: int, n: int) -> int:
@@ -298,16 +307,14 @@ def _jump_partial_sum(k: int, n: int) -> int:
     ``tail_mass``), summation by parts gives S(n) = sum of 2**(n-m)
     c(m+k+1) over m < n, less n c(n+k+1), and that sum is
     2 (T(n+k) - 2**n T(k)), so
-    S(n) = 2**(n+1) c(2k+1) - n c(n+k+1) - 2 c(n+2k+1).  One residue of
-    x**(n+k) for b(m) = c(m+1) gives c(n+k+1) off b(0..k-1) and
-    c(n+2k+1) off b(k..2k-1); c(2k+1) is streamed.  It is still the
-    series, never the closed form.
+    S(n) = 2**(n+1) c(2k+1) - n c(n+k+1) - 2 c(n+2k+1).  The last two
+    terms are g(n+k) for g(m) = n c(m+1) + 2 c(m+k+1), which obeys the
+    k-step recurrence from m = k on: one :func:`_jump`, off c(1..3k);
+    c(2k+1) is streamed.  It is still the series, never the closed form.
     """
-    c = list(_stream(k, 2 * k + 1))
-    r = _residue([1] * k, n + k)
-    near = sum(map(operator.mul, r, c[1:k + 1]))  # c(n + k + 1)
-    far = sum(map(operator.mul, r, c[k + 1:2 * k + 1]))  # c(n + 2k + 1)
-    return (c[2 * k + 1] << (n + 1)) - n * near - 2 * far
+    c = list(_stream(k, 3 * k))
+    g = [n * x + 2 * y for x, y in zip(c[1:], c[k + 1:])]
+    return (c[2 * k + 1] << (n + 1)) - _jump([1] * k, n + k, g)
 
 
 def _series_sum(k: int, a: int, b: int, n: int) -> int:
@@ -315,16 +322,16 @@ def _series_sum(k: int, a: int, b: int, n: int) -> int:
     the partial sum of the counting series at r = a/b times b**n / a**k.
 
     A(m) = b A(m-1) + d(m), with d(m) = c(m) a**(m-k) obeying
-    d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_residue`
+    d(m) = a d(m-1) + a**2 d(m-2) + ... + a**k d(m-k), so :func:`_jump`
     jumps the order-(k+1) recurrence of A, whose characteristic
     polynomial is (x - b) Q(x), Q(x) = x**k - a x**(k-1) - ... - a**k,
-    from A(k..2k).
+    from A(k..3k+1).
     """
-    weighted = (c * a**i for i, c in enumerate(islice(_stream(k, 2 * k), k, None)))
+    weighted = (c * a**i for i, c in enumerate(islice(_stream(k, 3 * k + 1), k, None)))
     seeds = list(accumulate(weighted, lambda s, d: b * s + d))
     q = [1] + [-(a**j) for j in range(1, k + 1)]
     char = [x - b * y for x, y in zip(q + [0], [0] + q)]  # (x - b) Q(x)
-    return sum(map(operator.mul, _residue([-x for x in char[1:]], n - k), seeds))
+    return _jump([-x for x in char[1:]], n - k, seeds)
 
 
 def build_count_table(spec: RunSpec, n_max: int) -> CountTable:

@@ -25,46 +25,48 @@ from fractions import Fraction
 from .counts import (
     RunSpec, _exact, _integer, _jumps, _rational, _series_sum, build_count_table,
 )
+from .distribution import _dyadic
 from .errors import DomainError
 
 Rational = Fraction | int | str
 
 
 def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
-    """The shared denominator 1 - 2r + r**(k+1), exactly."""
+    """The shared denominator 1 - 2r + r**(k+1), exactly: D / b**(k+1) at
+    r = a/b, D = b**(k+1) - 2a b**k + a**(k+1), gcd(D, b) = 1."""
     r = _rational(r, "r")
-    return 1 - 2 * r + r ** (spec.k + 1)
+    a, b, k = r.numerator, r.denominator, spec.k
+    return Fraction(b ** (k + 1) - 2 * a * b**k + a ** (k + 1), b ** (k + 1))
 
 
-def _point(spec: RunSpec, r: Rational) -> tuple[Fraction, Fraction]:
-    """r as an exact rational in (0, 1), and the denominator there.
-
-    The denominator is never zero: with r = a/b in lowest terms, a zero
-    would give b**(k+1) - 2a b**k + a**(k+1) = 0, so b | a**(k+1), b = 1
-    and r would be an integer.
+def _point(spec: RunSpec, r: Rational) -> tuple[int, int, int]:
+    """r = a/b in lowest terms, 0 < a < b, as a, b and D, the numerator of
+    the denominator there.  D is never zero: a zero would give
+    b | a**(k+1), b = 1, and r would be an integer.
     """
     r = _rational(r, "r")
-    if not 0 < r < 1:
+    if not 0 < r.numerator < r.denominator:
         raise DomainError(f"r must lie strictly inside (0, 1), got {_exact(r)}")
-    return r, denominator_core(spec, r)
+    return r.numerator, r.denominator, denominator_core(spec, r).numerator
 
 
 def eval_y(spec: RunSpec, r: Rational) -> Fraction:
-    """Closed form of the counting series at r in (0, 1)."""
-    r, denom = _point(spec, r)
-    return r**spec.k * (1 - r) / denom
+    """Closed form of the counting series at r in (0, 1): a**k (b - a) / D."""
+    a, b, d = _point(spec, r)
+    return Fraction(a**spec.k * (b - a), d)
 
 
 def eval_y_prime(spec: RunSpec, r: Rational) -> Fraction:
     """Derivative of the closed form, as a single simplified fraction:
 
         y'(r) = r**(k-1) (-r**(k+1) + 2k r**2 - 3k r + k + r)
-                / (1 - 2r + r**(k+1))**2
+                / (1 - 2r + r**(k+1))**2 = a**(k-1) b**2 P / D**2,
+        P = -a**(k+1) + b**(k-1) (2k a**2 - 3k a b + k b**2 + a b).
     """
-    r, denom = _point(spec, r)
+    a, b, d = _point(spec, r)
     k = spec.k
-    poly = -(r ** (k + 1)) + 2 * k * r**2 - 3 * k * r + k + r
-    return r ** (k - 1) * poly / denom**2
+    p = b ** (k - 1) * (2 * k * a * a - 3 * k * a * b + k * b * b + a * b) - a ** (k + 1)
+    return Fraction(a ** (k - 1) * b * b * p, d * d)
 
 
 def eval_y_prime_quotient_rule(spec: RunSpec, r: Rational) -> Fraction:
@@ -74,14 +76,16 @@ def eval_y_prime_quotient_rule(spec: RunSpec, r: Rational) -> Fraction:
     N = r**k (1-r) and D = 1 - 2r + r**(k+1),
 
         y' = (N' D - N D') / D**2,
-        N' = k r**(k-1) (1-r) - r**k,   D' = -2 + (k+1) r**k.
+        N' = k r**(k-1) (1-r) - r**k,   D' = -2 + (k+1) r**k,
+
+    here over the integers b**(k+1) N, b**k N', b**(k+1) D and b**k D',
+    which give y' times 1/b.
     """
-    r, d = _point(spec, r)
+    a, b, d = _point(spec, r)
     k = spec.k
-    n = r**k * (1 - r)
-    n_prime = k * r ** (k - 1) * (1 - r) - r**k
-    d_prime = -2 + (k + 1) * r**k
-    return (n_prime * d - n * d_prime) / d**2
+    n_prime = k * a ** (k - 1) * (b - a) - a**k
+    d_prime = (k + 1) * a**k - 2 * b**k
+    return Fraction(b * (n_prime * d - a**k * (b - a) * d_prime), d * d)
 
 
 def expectation(spec: RunSpec) -> Fraction:
@@ -125,4 +129,7 @@ def series_matches_closed_form(
         for i in range(spec.k, n_max + 1):
             acc = acc * b + values[i] * power
             power *= a
-    return abs(Fraction(acc * a**spec.k, b**n_max) - eval_y(spec, r))
+    t = b.bit_length() - 1  # a dyadic sum at b = 2**t needs no gcd
+    acc *= a**spec.k
+    total = _dyadic(acc, t * n_max) if b == 1 << t else Fraction(acc, b**n_max)
+    return abs(total - eval_y(spec, r))

@@ -623,10 +623,11 @@ def test_verify_sees_a_kernel_fault_at_every_k(capsys, monkeypatch, mutant):
 JUMP_MUTANTS = {
     "residue": ("_residue", "    return r\n", "    r[0] += 1\n    return r\n", 1),
     "square": ("_square", "x2 = x << 1", "x2 = x", 2),
-    "partial-sum": ("_jump_partial_sum", "- n * near", "+ n * near", 1),
+    "partial-sum": ("_jump_partial_sum", "n * x + 2", "-n * x + 2", 1),
     "series-seeds": (
-        "_series_sum", "_stream(k, 2 * k), k,", "_stream(k, 2 * k + 1), k + 1,", 2
+        "_series_sum", "_stream(k, 3 * k + 1), k,", "_stream(k, 3 * k + 2), k + 1,", 2
     ),
+    "odd-shift": ("_jump", "seeds[e % 2:]", "seeds", 1),
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for the exact fair-coin first-passage distribution."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -129,17 +131,28 @@ def test_pmf_table_and_ratios_refused_before_any_count(monkeypatch, query):
         query(RunSpec(3), 1000)
 
 
+# The constructors ``_dyadic`` may use: the fallback, and the classmethod
+# of Python 3.12 on where there is one.
+COPRIME = [distribution._new_coprime]
+if hasattr(Fraction, "_from_coprime_ints"):
+    COPRIME.append(Fraction._from_coprime_ints)
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 64, 3000])
-def test_dyadic_matches_fraction(n):
-    """``_dyadic`` builds its Fraction with a private constructor that
-    skips the gcd; a Python release that changes that constructor must
-    fail here rather than leave a fraction unreduced."""
-    for num in (0, 1, 3, (1 << n) - 1 or 1, 1 << n, 5 << n, 3 << (n + 9),
-                ((1 << 2 * n) + 1) << max(n - 1, 0), 7 << (n // 2)):
-        got, want = _dyadic(num, n), Fraction(num, 1 << n)
-        assert type(got) is Fraction
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-        assert hash(got) == hash(want)
+def test_dyadic_matches_fraction(monkeypatch, n):
+    """``_dyadic`` builds its Fraction without the constructor and its
+    gcd; a Python release that changes Fraction's layout must fail here
+    rather than leave a fraction unreduced or broken."""
+    for coprime in COPRIME:
+        monkeypatch.setattr(distribution, "_coprime", coprime)
+        for num in (0, 1, 3, (1 << n) - 1 or 1, 1 << n, 5 << n, 3 << (n + 9),
+                    ((1 << 2 * n) + 1) << max(n - 1, 0), 7 << (n // 2)):
+            want, got = Fraction(num, 1 << n), _dyadic(num, n)
+            for x in (got, pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+                assert type(x) is Fraction
+                assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+                assert x == want and hash(x) == hash(want)
+                assert x * 3 - Fraction(1, 3) == want * 3 - Fraction(1, 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -171,7 +171,7 @@ def test_series_gap_frozen_value_k2():
 
 
 @pytest.mark.parametrize(
-    "r", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(7, 19)]
+    "r", [Fraction(1, 4), Fraction(3, 8), Fraction(1, 3), Fraction(2, 5), Fraction(7, 19)]
 )
 def test_series_gap_equals_fraction_sum_off_the_fair_coin(r):
     """Away from r = 1/2 the gap is not a tail mass; check it exactly
@@ -206,6 +206,38 @@ def test_series_gap_domain_errors():
         series_matches_closed_form(RunSpec(2), Fraction(0), 20)
     with pytest.raises(DomainError):
         series_matches_closed_form(RunSpec(4), HALF, 3)
+
+
+def _core(k, r):
+    return 1 - 2 * r + r ** (k + 1)
+
+
+# The closed forms as Fraction arithmetic in r, as first written; the
+# module evaluates them over the integers a and b of r = a/b.
+REFERENCES = {
+    denominator_core: _core,
+    eval_y: lambda k, r: r**k * (1 - r) / _core(k, r),
+    eval_y_prime: lambda k, r: (
+        r ** (k - 1) * (-(r ** (k + 1)) + 2 * k * r**2 - 3 * k * r + k + r) / _core(k, r) ** 2
+    ),
+    eval_y_prime_quotient_rule: lambda k, r: (
+        ((k * r ** (k - 1) * (1 - r) - r**k) * _core(k, r)
+         - r**k * (1 - r) * (-2 + (k + 1) * r**k)) / _core(k, r) ** 2
+    ),
+}
+
+
+@pytest.mark.parametrize("form", REFERENCES, ids=lambda f: f.__name__)
+def test_integer_closed_forms_match_the_rational_references(form):
+    """Equal for every k on a grid of r, which at k = 20, r = 3/5 and
+    elsewhere has a negative denominator core."""
+    grid = {Fraction(a, b) for b in range(2, 10) for a in range(1, b)}
+    grid |= {Fraction(1, 10**30), Fraction(10**30 - 1, 10**30), Fraction(7, 19)}
+    assert _core(20, Fraction(3, 5)) < 0
+    for k in range(1, 65):
+        for r in grid:
+            got, want = form(RunSpec(k), r), REFERENCES[form](k, r)
+            assert got == want and type(got) is Fraction, (k, r)
 
 
 def test_denominator_never_vanishes_at_rational_points():
