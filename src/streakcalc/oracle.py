@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,49 +149,75 @@ def enumerate_truncated_expectation(k: int, n: int) -> Fraction:
     return Fraction(sum(i * c for i, c in enumerate(ends)), 1 << n)
 
 
-def _beyond_64_bits(a: int, b: int, k: int) -> bool:
-    """Whether bit lengths show (b/a)^k > 2^64: b/a > 2^(len b - len a - 1)."""
-    return k * (b.bit_length() - a.bit_length() - 1) >= 64
+def _price(a: int, b: int, k: int) -> tuple[int, int] | None:
+    """(ceil(p^-k), ceil(E)) for p = a/b in lowest terms, E = p^-1 + ...
+    + p^-k the mean waiting time (S.-Y. R. Li, Ann. Probab. 8(6), 1980),
+    or None where bit lengths show p^-k > 2^64: b/a > 2^(len b - len a - 1).
+
+    For a > 1 neither is an integer (E's numerator over a^k is b^k mod
+    a), so each ceiling is its floor + 1; for a = 1 both are integers.  A
+    long b/a is read to 128, 256, ... fractional bits: the floors formed
+    from the quotient and from the quotient + 1 bracket the true ones,
+    which they are where they agree.  Once the bits reach the length of
+    b, the exact powers cost no more, and they decide.
+    """
+    if k * (b.bit_length() - a.bit_length() - 1) >= 64:
+        return None
+
+    def floors(x: int, d: int) -> tuple[int, int]:  # of y^k and y + ... + y^k, y = x/d
+        xk, dk = x**k, d**k
+        return xk // dk, (x * (xk - dk) // (x - d) if x > d else k * dk) // dk
+
+    shift = 128
+    while shift < b.bit_length():
+        x, rest = divmod(b << shift, a)
+        low = floors(x, 1 << shift)
+        if low == floors(x + (rest > 0), 1 << shift):
+            break
+        shift *= 2
+    else:
+        low = floors(b, a)
+    return low[0] + (a > 1), low[1] + (a > 1)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Parameters of one reproducible simulation run.
+class SimConfig(
+    namedtuple("SimConfig", "k success_prob trials seed max_steps_per_trial")
+):
+    """Parameters of one reproducible simulation run, validated as built.
 
     ``success_prob`` other than 1/2 is exploratory only: the exact
     distribution modules cover just the fair coin.  The default step
-    cap is 1000 * ceil(p**-k), 1000 * 2**k for the fair coin.  The mean
-    waiting time (1 - p**k) / (q p**k) is below p**-k / q, so unless q
-    is tiny the cap lies far beyond any plausible completion, and
-    truncation is a reportable anomaly rather than a silent bias.  Where
-    the bit lengths of p show p**-k > 2**64, the cap is 1000 * 2**64,
-    and :func:`check_budget` refuses the run at any trial count.
+    cap is 1000 * ceil(p**-k) (:func:`_price`), 1000 * 2**k for the fair
+    coin.  The mean waiting time (1 - p**k) / (q p**k) is below p**-k / q,
+    so unless q is tiny the cap lies far beyond any plausible completion,
+    and truncation is a reportable anomaly rather than a silent bias.
+    Where the bit lengths of p show p**-k > 2**64, the cap is 1000 *
+    2**64, and :func:`check_budget` refuses the run at any trial count.
     """
 
-    k: int
-    success_prob: Fraction
-    trials: int
-    seed: int
-    max_steps_per_trial: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        RunSpec(self.k)  # validates the run length
-        p = _rational(self.success_prob, "success probability")
+    def __new__(cls, k, success_prob, trials, seed, max_steps_per_trial=None):
+        RunSpec(k)  # validates the run length
+        p = _rational(success_prob, "success probability")
         if not 0 < p < 1:
             raise DomainError(f"success probability must lie in (0, 1), got {_exact(p)}")
-        object.__setattr__(self, "success_prob", p)
-        _integer(self.trials, "trials", 1)
-        _integer(self.seed, "seed")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {_exact(self.seed)}")
-        if self.max_steps_per_trial is None:
-            (a, b), k = p.as_integer_ratio(), self.k
-            cap = 1000 << 64 if _beyond_64_bits(a, b, k) else 1000 * -(-b**k // a**k)
-            object.__setattr__(self, "max_steps_per_trial", cap)
-        _integer(self.max_steps_per_trial, "max_steps_per_trial")
-        if self.max_steps_per_trial < self.k:
-            cap = _exact(self.max_steps_per_trial)
+        _integer(trials, "trials", 1)
+        _integer(seed, "seed")
+        if not 0 <= seed < 2**64:
+            raise DomainError(f"seed must fit in 64 bits, got {_exact(seed)}")
+        if max_steps_per_trial is None:
+            price = _price(*p.as_integer_ratio(), k)
+            max_steps_per_trial = 1000 << 64 if price is None else 1000 * price[0]
+        _integer(max_steps_per_trial, "max_steps_per_trial")
+        if max_steps_per_trial < k:
+            cap = _exact(max_steps_per_trial)
             raise DomainError(f"max_steps_per_trial must be >= k, got {cap}")
+        return super().__new__(cls, k, p, trials, seed, max_steps_per_trial)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so _replace validates too
 
 
 @dataclass(frozen=True)
@@ -210,18 +237,18 @@ def check_budget(configs) -> None:
     than ``SIMULATION_FLIP_CAP`` coin flips in all.
 
     A config takes L = min(max steps, ceil(E)) steps, E = p^-1 + ... +
-    p^-k the mean waiting time (S.-Y. R. Li, Ann. Probab. 8(6), 1980),
-    in integers for p = a/b.  Where p's bit lengths show p^-k > 2^64, L
-    is the max steps: exact, or over budget either way.  A step flips a
-    coin per live trial and draws once per nonempty run class, so it
-    costs its trials, but no less than 2^7 flips a class.
+    p^-k the mean waiting time, priced by :func:`_price`.  Where p's bit
+    lengths show p^-k > 2^64, L is the max steps: exact, or over budget
+    either way.  A step flips a coin per live trial and draws once per
+    nonempty run class, so it costs its trials, but no less than 2^7
+    flips a class.
     """
     flips = 0
     for config in configs:
         k, trials, length = config.k, config.trials, config.max_steps_per_trial
         a, b = config.success_prob.as_integer_ratio()
-        if not _beyond_64_bits(a, b, k):
-            length = min(length, -(-b * (b**k - a**k) // ((b - a) * a**k)))
+        if price := _price(a, b, k):
+            length = min(length, price[1])
         # nonempty run classes, estimated as the r < k with trials * p^r >= 1
         # (p to 64 bits): within one of the mean measured at p = 1/2, 1/3
         shift = max(0, b.bit_length() - 64)

@@ -340,15 +340,10 @@ def test_simulate_refuses_a_tiny_probability_in_bounded_time(k, p):
     assert result.stderr.count("\n") == 1
 
 
-@pytest.mark.xfail(
-    strict=True, raises=subprocess.TimeoutExpired,
-    reason="a p with a long numerator and denominator still forms k-th powers "
-    "before the refusal (FOUND in CHANGES.md)",
-)
 def test_simulate_refuses_a_near_one_probability_in_bounded_time():
-    """p = 0.<10^5 nines> at k = 64 is refused for 2^40 trials, but only
-    after forming its 64th powers in the default step cap and the mean:
-    about 23 s.  Passes once the estimate reads leading bits instead."""
+    """p = 0.<10^5 nines> at k = 64 is refused for 2^40 trials without
+    forming its 64th powers: the default step cap and the mean are read
+    off 128 bits of 1/p.  Forming them took about 23 s."""
     root = Path(__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-m", "streakcalc.cli", "simulate", "--k", "64",
@@ -359,6 +354,22 @@ def test_simulate_refuses_a_near_one_probability_in_bounded_time():
     assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
     assert result.stderr.startswith("streakcalc: capacity error: ")
     assert result.stderr.count("\n") == 1
+
+
+def test_simulate_admits_a_near_one_probability_in_bounded_time():
+    """The same p for 100 trials: 1 < p^-64 < 2 and 64 < E < 65, so the
+    default cap is 2000 steps and every trial ends at its 64th flip.
+    Forming the 64th powers took 23 s for the same output."""
+    start = time.perf_counter()
+    result = _run_process(
+        "simulate", "--k", "64", "--p", "0." + "9" * 100_000, "--trials", "100"
+    )
+    assert time.perf_counter() - start < 2
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    envelope = json.loads(result.stdout)
+    assert envelope["parameters"]["max_steps_per_trial"] == 2000
+    (row,) = envelope["rows"]
+    assert (row["completed_trials"], row["sample_mean"]) == (100, 64.0)
 
 
 @pytest.mark.parametrize(

@@ -274,6 +274,70 @@ def test_sim_config_default_step_cap_in_integers():
         assert config.max_steps_per_trial == 1000 << 64
 
 
+def test_sim_config_is_a_validated_tuple():
+    """A config equals the plain tuple of its fields, holds no __dict__,
+    and _replace validates as the constructor does."""
+    config = SimConfig(k=3, success_prob=Fraction(1, 3), trials=10, seed=1)
+    assert config == (3, Fraction(1, 3), 10, 1, 27_000)
+    assert not hasattr(config, "__dict__")
+    assert config._replace(seed=2) == SimConfig(3, Fraction(1, 3), 10, 2)
+    with pytest.raises(DomainError, match="^trials must be >= 1, got 0$"):
+        config._replace(trials=0)
+
+
+PRICE_KS = (1, 2, 3, 5, 8, 13, 29, 64)
+
+
+def _price_by_powers(a, b, k):
+    if k * (b.bit_length() - a.bit_length() - 1) >= 64:
+        return None
+    return -(-b**k // a**k), -(-b * (b**k - a**k) // ((b - a) * a**k))
+
+
+def _lowest(a, b):
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def test_price_matches_the_exact_powers():
+    """(ceil(p^-k), ceil(E)) from leading bits equals the exact integers:
+    small p, random p of 8 to 2000 bits and p = 1 - 10^-d."""
+    ps = [(a, b) for b in range(2, 60) for a in range(1, b) if math.gcd(a, b) == 1]
+    rng = random.Random(28)
+    for _ in range(200):
+        b = rng.getrandbits(rng.randint(8, 2000)) | 3
+        ps.append(_lowest(rng.randrange(1, b), b))
+        ps.append(_lowest(b - rng.getrandbits(b.bit_length() // 2) - 1, b))
+    ps += [(10**d - 1, 10**d) for d in (30, 300, 3000)]
+    for a, b in ps:
+        for k in PRICE_KS:
+            assert oracle._price(a, b, k) == _price_by_powers(a, b, k), (a, b, k)
+
+
+@pytest.mark.parametrize("k, gap", [(63, 1), (64, 1), (21, 3), (32, 2), (7, 9), (8, 8)])
+def test_price_at_the_64_bit_rule(k, gap):
+    """k (len b - len a - 1) = 63 is priced, 64 is None, also for a long a."""
+    for a in (1, 3, 2**300 + 1):
+        b = (a << (gap + 1)) + 1  # in lowest terms
+        assert b.bit_length() - a.bit_length() - 1 == gap
+        assert oracle._price(a, b, k) == _price_by_powers(a, b, k)
+        assert (oracle._price(a, b, k) is None) == (k * gap >= 64)
+
+
+def test_price_just_above_an_integer():
+    """p^-64 - 2 is below 2^-150, finer than 128 bits of 1/p can tell at a
+    201-bit b, so the exact powers decide."""
+    a = 2**200 + 1
+    root = 2 * a**64
+    for _ in range(6):
+        root = math.isqrt(root)  # floor((2 a^64)^(1/64))
+    a, b = _lowest(a, root + 1)
+    assert b.bit_length() == 201
+    assert 0 < b**64 - 2 * a**64 < a**64 >> 150
+    assert oracle._price(a, b, 64) == _price_by_powers(a, b, 64)
+    assert oracle._price(a, b, 64)[0] == 3
+
+
 @pytest.mark.parametrize(
     "p", [HALF, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(999, 1000)]
 )
