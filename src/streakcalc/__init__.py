@@ -48,7 +48,6 @@ from .oracle import (
     enumerate_counts,
     enumerate_first_run_histogram,
     enumerate_truncated_expectation,
-    first_run_index,
     simulate,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "eval_y_prime_quotient_rule",
     "expectation",
     "expectation_closed_form",
-    "first_run_index",
     "pmf",
     "pmf_table",
     "ratio_diagnostic",

@@ -7,12 +7,13 @@ serialized as fraction strings ("num/den") or integers, never floats;
 floating point appears only in clearly labeled Monte Carlo columns.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 capacity error.
+3 capacity error, 4 output error (stdout missing or refusing a write).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_OUTPUT = 4
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -221,23 +223,29 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
     A reader that stops early (``streakcalc counts ... | head``) ends the
     output, not the command: stdout is pointed at the null device, so the
     interpreter's final flush cannot fail again, and the exit code stays
-    the command's own.
+    the command's own.  Any other failed write (a full disk) does the
+    same and is raised again, as is a missing stdout, for ``main`` to
+    end the command with ``EXIT_OUTPUT``.
     """
     envelope = OutputEnvelope(
         command=command, parameters=parameters, rows=rows, notes=notes or []
     )
     out = sys.stdout
+    if out is None:  # started with its stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     eager = {m: True for m in ("line_buffering", "write_through") if getattr(out, m, 0)}
     if eager:
         out.reconfigure(line_buffering=False, write_through=False)
     try:
         (envelope.write_csv if fmt == "csv" else envelope.write_json)(out.write)
         out.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # As the signal module's documentation advises for SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, out.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise
     finally:
         if eager:
             out.reconfigure(**eager)
@@ -367,15 +375,17 @@ def _verify_checks(k_max: int):
                 mismatches.append(f"n={m}: recurrence {got} != enumeration {want}")
         # Each far route at a small horizon, against values checked here
         # or by the identity at 64k; from 4k + 4 on, a residue of half the
-        # horizon folds and then squares a folded residue.
-        m = 4 * k + 4
+        # horizon folds and then squares a folded residue.  The series
+        # shares that squaring: from 3k + 3 on its order-(k + 1) residue
+        # folds, which checks its seeds and characteristic polynomial.
+        m, s = 4 * k + 4, 3 * k + 3
         c = list(counts_mod._stream(k, m))
         for what, n, got, want in (
             ("partial sum", n0, counts_mod._jump_partial_sum(k, n0),
              sum(i * e for i, e in enumerate(ends))),
             ("count", m, counts_mod._jump_count(k, m), c[m]),
-            ("series sum", m, counts_mod._series_sum(k, 1, 2, m),
-             sum(x << (m - i) for i, x in enumerate(c))),
+            ("series sum", s, counts_mod._series_sum(k, 1, 2, s),
+             sum(x << (s - i) for i, x in enumerate(c[:s + 1]))),
         ):
             if got != want:
                 mismatches.append(f"jumped {what} at n={n}: {got} != {want}")
@@ -461,6 +471,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"streakcalc: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # raised by _emit alone
+        print(f"streakcalc: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

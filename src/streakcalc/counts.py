@@ -158,10 +158,6 @@ class CountTable:
     k: int
     values: tuple[int, ...]
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
 
 def _check_table(n_max: int) -> None:
     """Raise unless a table of c(0..n_max) is within the configured cap."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,37 +40,6 @@ RNG_ALGORITHM = "mt19937-occupancy-planes"
 # minute at 0.5-1.2 ns a flip, or 2^29 class draws of 2^7 flips: 4-8 min
 # at p = 1/2, 1/3, 21 at p = 1/1000, k = 64 (2-core x86-64, CPython 3.11.7).
 SIMULATION_FLIP_CAP = 1 << 36
-
-
-def _iter_heads(outcomes) -> Iterator[bool]:
-    if isinstance(outcomes, str):
-        for ch in outcomes:
-            low = ch.lower()
-            if low == "h":
-                yield True
-            elif low == "t":
-                yield False
-            else:
-                raise DomainError(f"outcome characters must be h or t, got {ch!r}")
-    else:
-        for item in outcomes:
-            yield bool(item)
-
-
-def first_run_index(outcomes, k: int) -> int | None:
-    """1-based trial at which the first run of k heads is completed.
-
-    Accepts a string of ``h``/``t`` characters or any iterable of
-    truthy-for-heads values.  Returns None when no k-run occurs.
-    Single left-to-right scan keeping the current head-run length.
-    """
-    _integer(k, "run length", 1)  # RunSpec's check without its cap
-    run = 0
-    for i, heads in enumerate(_iter_heads(outcomes), start=1):
-        run = run + 1 if heads else 0
-        if run == k:
-            return i
-    return None
 
 
 def _check_enum_args(k: int, n: int) -> None:

@@ -51,7 +51,6 @@ CALLS = {
     genfunc.eval_y_prime: [(SPEC, None), (HALF, RATIONAL)],
     genfunc.eval_y_prime_quotient_rule: [(SPEC, None), (HALF, RATIONAL)],
     genfunc.series_matches_closed_form: [(SPEC, None), (HALF, RATIONAL), (10, INT)],
-    oracle.first_run_index: [("hhth", None), (2, INT)],
     oracle.enumerate_first_run_histogram: [(2, INT), (6, INT)],
     oracle.enumerate_counts: [(2, INT), (6, INT)],
     oracle.enumerate_truncated_expectation: [(2, INT), (6, INT)],

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: formats, determinism, exit codes."""
 
+import errno
 import inspect
 import io
 import json
@@ -19,6 +20,7 @@ from streakcalc import counts, distribution, genfunc, oracle
 from streakcalc.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     main,
@@ -167,6 +169,68 @@ def test_counts_into_a_closed_pipe_exits_cleanly(fmt):
         proc.kill()
         proc.wait()
     assert err == b""
+
+
+def _cli_process(argv, flags=(), **kwargs):
+    """``python [flags] -m streakcalc.cli argv`` with stdout block-buffered
+    unless a flag says otherwise; stderr is captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "streakcalc.cli", *argv.split()],
+        stderr=subprocess.PIPE, env=env, timeout=60, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_full_device_ends_in_one_line(flags, fmt):
+    """``streakcalc counts ... > /dev/full``: every write fails with ENOSPC,
+    and the command ends in one stderr line and EXIT_OUTPUT, where it
+    once ended in a traceback and exit 1."""
+    with open("/dev/full", "wb") as full:
+        result = _cli_process(f"counts --k 2 --n-max 5 --format {fmt}", flags, stdout=full)
+    message = f"streakcalc: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr.decode()) == (EXIT_OUTPUT, message)
+
+
+def test_a_closed_stdout_ends_in_one_line():
+    """``streakcalc verify ... >&-``: the interpreter starts without a
+    stdout, and the command ends as a refused write does."""
+    result = _cli_process("verify --k-max 3", preexec_fn=lambda: os.close(1))
+    message = f"streakcalc: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert (result.returncode, result.stderr.decode()) == (EXIT_OUTPUT, message)
+
+
+# One small run of each command, all of which write through ``_emit``.
+EVERY_COMMAND = [
+    "counts --k 2 --n-max 5",
+    "expect --k-min 1 --k-max 2",
+    "simulate --k 2 --trials 10 --seed 1",
+    "verify --k-max 2",
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[a.split()[0] for a in EVERY_COMMAND])
+def test_every_command_ends_a_refused_write_in_one_line(capsys, monkeypatch, argv):
+    """In-process, on a stdout over ``/dev/full``: the flush fails, the
+    descriptor is pointed at the null device so that closing the file
+    cannot fail again, and ``main`` returns EXIT_OUTPUT."""
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        code = main(argv.split())
+        monkeypatch.undo()
+    message = f"streakcalc: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert (code, capsys.readouterr().err) == (EXIT_OUTPUT, message)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[a.split()[0] for a in EVERY_COMMAND])
+def test_every_command_ends_a_missing_stdout_in_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv.split())
+    monkeypatch.undo()
+    message = f"streakcalc: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert (code, capsys.readouterr().err) == (EXIT_OUTPUT, message)
 
 
 def test_expect_reproduces_expectation_column(capsys):
@@ -687,4 +751,4 @@ def test_usage_error_on_missing_required_flag(capsys):
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_CAPACITY}) == 4
+    assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_CAPACITY, EXIT_OUTPUT}) == 5

@@ -41,7 +41,6 @@ def test_table_boundary_examples():
     table = build_count_table(RunSpec(2), 10)
     assert table.values == (0, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
     assert table.values[4] == 2
-    assert table.n_max == 10
 
 
 def test_count_at_examples():
