@@ -28,17 +28,18 @@ ENUMERATION_CAP = 24
 # Enumeration takes the sequences in chunks of 2**_ENUM_CHUNK_BITS, one
 # bit each, so a chunk's n columns are 8 KiB ints.  The two enumerations
 # of an ``oracles`` benchmark round (n = 21, best of 5, mean over its 18
-# run lengths; 2-core x86-64, CPython 3.11.7) took 21.4 ms with 2**12-
-# sequence chunks, 10.5 with 2**14, 8.1 with 2**16 and 17.7 with 2**18,
+# run lengths; 2-core x86-64, CPython 3.11.7) took 2.5 ms with 2**12-
+# sequence chunks, 2.2 with 2**14, 2.7 with 2**16 and 4.8 with 2**18,
 # against 41.0 ms for numpy over 2**14-word arrays.  The simulator's
-# draws are at most 2**_ENUM_CHUNK_BITS bits, 8 KiB ints too.
+# draws are at most 2**_ENUM_CHUNK_BITS bits, 8 KiB ints too; that size
+# is part of its stream, so the constant stays 16.
 _ENUM_CHUNK_BITS = 16
 
 RNG_ALGORITHM = "mt19937-occupancy-planes"
 
 # Most coin flips one call may simulate, counted as check_budget does: a
-# minute at 0.5-1.2 ns a flip, or 2^29 class draws of 2^7 flips: 4-8 min
-# at p = 1/2, 1/3, 21 at p = 1/1000, k = 64 (2-core x86-64, CPython 3.11.7).
+# minute at 0.4-0.9 ns a flip, or 2^29 class draws of 2^7 flips: 1.5-7 min
+# at p = 1/2, 1/3, 13 at p = 1/1000, k = 64 (2-core x86-64, CPython 3.11.7).
 SIMULATION_FLIP_CAP = 1 << 36
 
 
@@ -78,24 +79,33 @@ def enumerate_first_run_histogram(k: int, n: int) -> tuple[tuple[int, ...], int]
             col |= col << width
             width *= 2
         low.append(col)
+    # Window i, the AND of columns i..i + k - 1, marks a run ending at
+    # trial i + k.  Inside the low columns it is the same in every chunk:
+    # each doubling pass widens span by up to its own length, so
+    # ceil(log2 k) passes reach k.  A window reaching column c is the AND
+    # of the low columns from i on (a suffix) in the chunks whose index
+    # bits are ones at all of its columns from c on (its mask), else 0.
+    runs, span = low, 1
+    while span < k:
+        s = min(span, k - span)
+        runs = [a & b for a, b in zip(runs, runs[s:])]
+        span += s
+    suffix = [full]
+    for col in reversed(low):
+        suffix.append(col & suffix[-1])
+    suffix.reverse()
+    windows = [(i + k, run, 0) for i, run in enumerate(runs)]
+    windows += [(i + k, suffix[min(i, c)], (1 << (i + k - c)) - (1 << max(i - c, 0)))
+                for i in range(len(runs), n - k + 1)]
     ends = [0] * (n + 1)
     no_run = 0
     for chunk in range(1 << (n - c)):
-        # runs[t] is the AND of columns t..t + span - 1: each pass widens
-        # span by up to its own length, so ceil(log2 k) passes reach k.
-        runs = low + [full if chunk >> t & 1 else 0 for t in range(n - c)]
-        span = 1
-        while span < k:
-            s = min(span, k - span)
-            runs = [a & b for a, b in zip(runs, runs[s:])]
-            span += s
-        # runs[i] marks a run ending at trial i + k; a sequence's first
-        # such bit is the one still unseen.
+        # a sequence's first run is its first window bit still unseen
         unseen = full
-        for i, run in enumerate(runs):
-            new = run & unseen
-            ends[i + k] += new.bit_count()
-            unseen ^= new
+        for end, run, mask in windows:
+            if chunk & mask == mask and (new := run & unseen):
+                ends[end] += new.bit_count()
+                unseen ^= new
         no_run += unseen.bit_count()
     return tuple(ends), no_run
 
@@ -234,46 +244,52 @@ def check_budget(configs) -> None:
 def _occupancy_totals(
     k: int, threshold: int, trials: int, max_steps: int, getrandbits
 ) -> tuple[int, int, int, int]:
-    # live[r] counts the live trials whose current run is r heads, for
-    # the nonempty classes in increasing r.  Each step flips one coin for
-    # every live trial, class by class.  A flip is heads when a uniform
-    # 64-bit U lies below the threshold; U is read one bit-plane at a
-    # time, most significant first, and a plane gives each undecided flip
-    # one random bit.  The flips whose bit differs from the threshold's
-    # are decided, and by symmetry their number is the popcount of the
-    # plane's bits: heads where the threshold's bit is 1.  Past its
-    # lowest set bit no undecided U can fall under it, so those are tails.
-    planes = format(threshold, "064b").rstrip("0")
+    # Each step flips one coin for every live trial, class by class in
+    # increasing run length.  A flip is heads when a uniform 64-bit U lies
+    # below the threshold; U is read one bit-plane at a time, most
+    # significant first, and a plane gives each undecided flip one random
+    # bit.  The flips whose bit differs from the threshold's are decided,
+    # and by symmetry their number is the popcount of the plane's bits:
+    # heads where the threshold's bit is 1.  Past its lowest set bit no
+    # undecided U can fall under it, so those are tails.
+    planes = [bit == "1" for bit in format(threshold, "064b").rstrip("0")]
     chunk = 1 << _ENUM_CHUNK_BITS
+    fair = planes == [True]
 
     def heads(undecided: int) -> int:
         count = 0
         for plane in planes:
-            decided, rest = 0, undecided
-            while rest > chunk:
-                decided += getrandbits(chunk).bit_count()
-                rest -= chunk
-            decided += getrandbits(rest).bit_count()
+            if undecided <= chunk:
+                decided = getrandbits(undecided).bit_count()
+            else:  # draws of at most chunk bits
+                decided = sum(getrandbits(min(chunk, undecided - lo)).bit_count()
+                              for lo in range(0, undecided, chunk))
             undecided -= decided
-            if plane == "1":
+            if plane:
                 count += decided
             if not undecided:
                 break
         return count
 
-    live = {0: trials}
-    completed = total = total_sq = step = 0
-    while live and step < max_steps:
+    # live[r] counts live trials whose current run is r heads, up to a
+    # nonzero last entry, so r < len(live) <= k; empty classes draw nothing.
+    live, alive = [trials], trials
+    total = total_sq = step = 0
+    while alive and step < max_steps:
         step += 1
         # heads move up a class, the top class completes, tails restart
-        moved = {r + 1: h for r, n in live.items() if (h := heads(n))}
-        done = moved.pop(k, 0)
-        tails = trials - completed - done - sum(moved.values())
-        live = {0: tails, **moved} if tails else moved
-        completed += done
+        if fair and alive <= chunk:  # every class is one plane, one draw
+            moved = [getrandbits(n).bit_count() if n else 0 for n in live]
+        else:
+            moved = [heads(n) if n else 0 for n in live]
+        done = moved.pop() if len(moved) == k else 0
+        alive -= done
+        live = [alive - sum(moved), *moved]
+        while alive and not live[-1]:
+            live.pop()
         total += done * step
         total_sq += done * step * step
-    return completed, total, total_sq, trials - completed
+    return trials - alive, total, total_sq, alive
 
 
 def simulate(config: SimConfig) -> SimReport:

@@ -61,6 +61,14 @@ GOLDEN_OUTPUT = [
      "b72d2121f12f8de5fb0284a8581ed8605bd601896307c2ae0345dc94aca4037c"),
     ("simulate --k 3 --p 0.25 --trials 500 --seed 2 --max-steps 4 --format csv",
      "93a59556e3cb9574f3aa8af35ca346dfb19e88fe680a2a4f29e025101df3952f"),
+    # over 2^16 trials, a long tail; p = 1/3 in chunked draws of many
+    # planes; truncation mid-run (204 of 3000 trials truncated)
+    ("simulate --k 6 --trials 70000 --seed 3",
+     "5807df3c9c77bb837a6a1b2636ef2c5d7fb07dfa1a57b6a192b702fb58641309"),
+    ("simulate --k 3 --p 1/3 --trials 70000 --seed 4",
+     "907be7c913751b864da8f9a95c36298632dada862ebe544a9f0648aa7fb9e736"),
+    ("simulate --k 5 --p 7/10 --trials 3000 --seed 9 --max-steps 40 --format csv",
+     "6d78c86408a89daaf0b83998dc65340e81f007027dd9e54b582f249ad8559153"),
     ("verify --k-max 4",
      "b7fbb7c42861f83b0e92731ac247182d299952f600c704f5b31a6ef14198246e"),
     ("verify --k-max 4 --format csv",

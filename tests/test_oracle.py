@@ -7,6 +7,7 @@ routes vouch for each other before they are used to vouch for anything
 else.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -167,12 +168,14 @@ def test_histogram_matches_a_naive_scan_across_chunks(monkeypatch, n):
             assert enumerate_first_run_histogram(k, n) == reference, (k, n, bits)
 
 
-@pytest.mark.parametrize("n", [17, 18, 19, 20])
+@pytest.mark.parametrize("n", [17, 18, 19, 20, 21])
 def test_histogram_chunking_beyond_one_chunk(monkeypatch, n):
-    """Past 2**16 sequences the default chunks split the columns too: the
+    """Past 2**16 sequences the default chunks split the columns too, and
+    the windows of k = 15 to 17 end on both sides of column 16: the
     histogram equals the one from 8-sequence chunks, and each bin m holds
     the recurrence's count at m times its 2**(n - m) extensions."""
-    default = {k: enumerate_first_run_histogram(k, n) for k in (1, 2, 5, 16, 17, 20)}
+    ks = (1, 2, 5, 15, 16, 17, 20, 21, 22)
+    default = {k: enumerate_first_run_histogram(k, n) for k in ks}
     for k, (ends, _) in default.items():
         if k <= n:
             counts = build_count_table(RunSpec(k), n).values
@@ -472,6 +475,43 @@ def test_occupancy_totals_match_a_lane_by_lane_replay(monkeypatch, k, threshold)
             want = _replay(k, threshold, 12, cap, want_bits, 1 << chunk_bits)
             assert got == want, (chunk_bits, cap)
             assert got_bits.sizes == want_bits.sizes, (chunk_bits, cap)
+
+
+# k, p, trials, seed, step cap; totals, number of draws and sha256 of
+# their sizes joined by commas, recorded before the step loop was last
+# rewritten.  Above 2**16 trials a class takes several draws: the fair
+# coin's first steps too.  The last config truncates mid-run.
+DRAW_RECORDS = [
+    (6, HALF, 70_000, 3, 64_000, (70_000, 8_828_696, 2_149_272_416, 0), 6704,
+     "a9a9236f4d6a43ebc4405032e2a24a38a69943267f503117010cc605224e3854"),
+    (2, HALF, 200_000, 1, 4_000, (200_000, 1_199_107, 11_590_657, 0), 120,
+     "41413ac2ae3e57a117453748c3b923ebf81c861c61bcbd2f2f85ff2d97a5c87f"),
+    (3, Fraction(1, 3), 70_000, 4, 27_000, (70_000, 2_729_745, 200_248_397, 0), 9078,
+     "1f309bc8812cb2fdf292ece4a2ba0e73c9937db174614f8cdef0b1884e4f190d"),
+    (5, Fraction(7, 10), 3_000, 9, 40, (2_796, 40_341, 805_073, 204), 1617,
+     "b9d3a70e39555a520ba0ecec8e8398eeaf8de94d4d74ae55add7fd78e34a475d"),
+]
+
+
+@pytest.mark.parametrize(
+    "k, p, trials, seed, cap, totals, draws, sha256", DRAW_RECORDS,
+    ids=["1/2-k6", "1/2-k2", "1/3-k3", "7/10-k5-capped"],
+)
+def test_occupancy_totals_keep_the_recorded_draws(k, p, trials, seed, cap, totals, draws, sha256):
+    """The kernel draws the same sizes, in the same order, from one
+    Mersenne Twister stream as when these records were made, so every
+    seeded report is unchanged."""
+    sizes = []
+    stream = random.Random(seed).getrandbits
+
+    def getrandbits(size):
+        sizes.append(size)
+        return stream(size)
+
+    threshold = (p.numerator << 64) // p.denominator
+    assert oracle._occupancy_totals(k, threshold, trials, cap, getrandbits) == totals
+    assert len(sizes) == draws
+    assert hashlib.sha256(",".join(map(str, sizes)).encode()).hexdigest() == sha256
 
 
 def _exact_moments(k, p):
