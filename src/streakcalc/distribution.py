@@ -34,13 +34,13 @@ def _coprime(num: int, den: int) -> Fraction:
     return new
 
 
-def _dyadic(num: int, n: int) -> Fraction:
+def _dyadic(num: int, n: int, power=(1).__lshift__) -> Fraction:
     """num / 2**n in lowest terms, for num >= 0, reduced by the trailing
-    zeros of num rather than by a gcd."""
+    zeros of num rather than by a gcd; ``power(m)`` is 2**m."""
     if num & 1:
-        return _coprime(num, 1 << n)
+        return _coprime(num, power(n))
     shift = min(n, (num & -num).bit_length() - 1) if num else n
-    return _coprime(num >> shift, 1 << (n - shift))
+    return _coprime(num >> shift, power(n - shift))
 
 
 PmfRow = namedtuple("PmfRow", "n count mass cumulative")
@@ -65,10 +65,13 @@ def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
     """
     _integer(n_max, "n_max", 1)
     rows = []
+    powers = [1]  # 2**0..2**n, shared by every row's two denominators
+    power = powers.__getitem__
     cum_scaled = 0  # cumulative numerator at denominator 2**n
     for n, c in enumerate(islice(_stream(spec.k, n_max), 1, None), 1):
+        powers.append(1 << n)
         cum_scaled = 2 * cum_scaled + c
-        rows.append(PmfRow(n, c, _dyadic(c, n), _dyadic(cum_scaled, n)))
+        rows.append(PmfRow(n, c, _dyadic(c, n, power), _dyadic(cum_scaled, n, power)))
     return rows
 
 

@@ -38,8 +38,9 @@ _ENUM_CHUNK_BITS = 16
 RNG_ALGORITHM = "mt19937-occupancy-planes"
 
 # Most coin flips one call may simulate, counted as check_budget does: a
-# minute at 0.4-0.9 ns a flip, or 2^29 class draws of 2^7 flips: 1.5-7 min
-# at p = 1/2, 1/3, 13 at p = 1/1000, k = 64 (2-core x86-64, CPython 3.11.7).
+# minute at 0.4-0.9 ns a flip, or 2^29 plane draws of 2^7 flips: 1.0-2.4 min
+# at k = 64, 16-1000 trials and p = 1/2, 1/3, 1/10, 1/1000, 3/4, 4.4-8.6
+# with one trial (2-core x86-64, CPython 3.11.7).
 SIMULATION_FLIP_CAP = 1 << 36
 
 
@@ -218,8 +219,8 @@ def check_budget(configs) -> None:
     p^-k the mean waiting time, priced by :func:`_price`.  Where p's bit
     lengths show p^-k > 2^64, L is the max steps: exact, or over budget
     either way.  A step flips a coin per live trial and draws once per
-    nonempty run class, so it costs its trials, but no less than 2^7
-    flips a class.
+    bit-plane read in each nonempty run class, so it costs its trials, but
+    no less than 2^7 flips a plane, and a class no less than one plane.
     """
     flips = 0
     for config in configs:
@@ -227,18 +228,34 @@ def check_budget(configs) -> None:
         a, b = config.success_prob.as_integer_ratio()
         if price := _price(a, b, k):
             length = min(length, price[1])
+        depth = len(_planes(_threshold(config.success_prob)))
         # nonempty run classes, estimated as the r < k with trials * p^r >= 1
         # (p to 64 bits): within one of the mean measured at p = 1/2, 1/3
         shift = max(0, b.bit_length() - 64)
         a, b = a >> shift, b >> shift
         classes = 1 + sum(trials * a**r >= b**r for r in range(1, min(k, trials)))
-        flips += length * max(trials, classes << 7)
+        # a class of n undecided flips reads planes until none is left, about
+        # n.bit_length() + 1 (within 0.7 of the mean), n the mean class size;
+        # a class with no plane to read (p < 2^-64) still costs a draw's step
+        planes = classes * max(1, min(depth, (trials // classes).bit_length() + 1))
+        flips += length * max(trials, planes << 7)
     if flips > SIMULATION_FLIP_CAP:
         raise CapacityError(
             f"simulation needs about 2^{math.log2(flips):.0f} coin flips, over "
             f"the budget of 2^{math.log2(SIMULATION_FLIP_CAP):.0f} "
-            "(min(max steps, mean trial length) x max(trials, 2^7 x run classes))"
+            "(min(max steps, mean trial length) x max(trials, 2^7 x planes a step))"
         )
+
+
+def _threshold(p: Fraction) -> int:
+    """floor(p * 2**64): a flip is heads when a uniform 64-bit U is below it."""
+    return (p.numerator << 64) // p.denominator
+
+
+def _planes(threshold: int) -> list[bool]:
+    """The threshold's bits, most significant first, down to its lowest set
+    bit: the bit-planes a class draw may read."""
+    return [bit == "1" for bit in format(threshold, "064b").rstrip("0")]
 
 
 def _occupancy_totals(
@@ -252,7 +269,7 @@ def _occupancy_totals(
     # and by symmetry their number is the popcount of the plane's bits:
     # heads where the threshold's bit is 1.  Past its lowest set bit no
     # undecided U can fall under it, so those are tails.
-    planes = [bit == "1" for bit in format(threshold, "064b").rstrip("0")]
+    planes = _planes(threshold)
     chunk = 1 << _ENUM_CHUNK_BITS
     fair = planes == [True]
 
@@ -311,10 +328,9 @@ def simulate(config: SimConfig) -> SimReport:
     refused before any coin is drawn.
     """
     check_budget([config])
-    p = config.success_prob
     completed, total, total_sq, truncated = _occupancy_totals(
         config.k,
-        (p.numerator << 64) // p.denominator,
+        _threshold(config.success_prob),
         config.trials,
         config.max_steps_per_trial,
         random.Random(config.seed).getrandbits,

@@ -100,6 +100,29 @@ def test_pmf_table_row_consistency(k):
     assert rows[-1].cumulative < 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 30, 64])
+def test_pmf_table_shares_its_powers_of_two(k):
+    """The rows equal the constructor's fractions and their running sum,
+    and one table holds each power of two once: as many denominator
+    objects as denominator values, and an odd count is its own mass
+    numerator, not a copy."""
+    n_max = 3 * k + 200
+    c = build_count_table(RunSpec(k), n_max).values
+    rows = pmf_table(RunSpec(k), n_max)
+    running = Fraction(0)
+    for n, row in enumerate(rows, 1):
+        mass = Fraction(c[n], 2**n)
+        running += mass
+        assert (row.n, row.count, row.mass, row.cumulative) == (n, c[n], mass, running)
+        for x, want in ((row.mass, mass), (row.cumulative, running)):
+            assert type(x) is Fraction
+            assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        if row.count & 1:
+            assert row.mass.numerator is row.count
+    denominators = [x.denominator for row in rows for x in (row.mass, row.cumulative)]
+    assert len({id(d) for d in denominators}) == len(set(denominators))
+
+
 def _no_table(*args):
     raise AssertionError("built a count table")
 

@@ -370,8 +370,33 @@ def test_simulate_over_budget_refused_before_drawing(monkeypatch):
     assert time.perf_counter() - start < 1
     assert str(refused.value) == (
         "simulation needs about 2^48 coin flips, over the budget of 2^36 "
-        "(min(max steps, mean trial length) x max(trials, 2^7 x run classes))"
+        "(min(max steps, mean trial length) x max(trials, 2^7 x planes a step))"
     )
+
+
+def test_budget_prices_the_planes_a_class_draw_reads():
+    """A class of n undecided flips reads about n.bit_length() + 1 planes
+    of p's threshold.  At p = 1/1000, k = 64 and 128 trials that is one
+    class and 9 of its 64 planes a step, 2^7 flips a plane, so 2^29 steps,
+    13-16 minutes at 1.4-1.8 us a step, are refused."""
+
+    def config(steps):
+        return SimConfig(k=64, success_prob=Fraction(1, 1000), trials=128, seed=0,
+                         max_steps_per_trial=steps)
+
+    most = oracle.SIMULATION_FLIP_CAP // (9 << 7)
+    oracle.check_budget([config(most)])
+    with pytest.raises(CapacityError):
+        oracle.check_budget([config(most + 1)])
+    with pytest.raises(CapacityError, match=r"about 2\^39 coin flips"):
+        oracle.check_budget([config(2**29)])
+
+    # below 2^-64 the threshold has no plane, but a class still costs one:
+    # 2^36 steps of one trial are 2^43 flips, as for any p
+    tiny = SimConfig(k=1, success_prob=Fraction(1, 10**30), trials=1, seed=0,
+                     max_steps_per_trial=2**36)
+    with pytest.raises(CapacityError, match=r"about 2\^43 coin flips"):
+        oracle.check_budget([tiny])
 
 
 def test_simulate_step_cap_beyond_64_bits():
