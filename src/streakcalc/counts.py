@@ -114,6 +114,8 @@ def _integer(value, what: str, least: int | None = None) -> None:
 
 def _rational(value, what: str) -> Fraction:
     """``value`` as a ``Fraction``, a ``str`` read by :func:`parse_digits`."""
+    if type(value) is Fraction:
+        return value
     try:
         if isinstance(value, str):
             return parse_digits(Fraction, value)

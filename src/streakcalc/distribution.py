@@ -34,14 +34,18 @@ def _coprime(num: int, den: int) -> Fraction:
     return new
 
 
-def _dyadic(num: int, n: int, power=(1).__lshift__) -> Fraction:
+def _dyadic(num: int, n: int) -> Fraction:
     """num / 2**n in lowest terms, for num >= 0, reduced by the trailing
-    zeros of num rather than by a gcd; ``power(m)`` is 2**m."""
+    zeros of num rather than by a gcd."""
     if num & 1:
-        return _coprime(num, power(n))
+        return _coprime(num, 1 << n)
     shift = min(n, (num & -num).bit_length() - 1) if num else n
-    return _coprime(num >> shift, power(n - shift))
+    return _coprime(num >> shift, 1 << (n - shift))
 
+
+# x & _LOW costs O(1) however long x is, and keeps the trailing zeros
+# of x unless it is 0.
+_LOW = (1 << 30) - 1
 
 PmfRow = namedtuple("PmfRow", "n count mass cumulative")
 PmfRow.__doc__ = """One row of the tabulated distribution: exact mass and CDF at n.
@@ -62,16 +66,35 @@ def pmf_table(spec: RunSpec, n_max: int) -> list[PmfRow]:
     2 cum(n-1) + c(n)), one bigint op per row rather than repeated
     re-summation.  The final cumulative is always < 1: total mass 1 is
     reached only in the limit.
+
+    Each row is reduced as :func:`_dyadic` reduces, inline: from n = k on
+    0 < c(n) <= cum(n) < 2**n, and cum(n) is odd exactly when c(n) is,
+    so one parity test picks the branch for both columns.
     """
     _integer(n_max, "n_max", 1)
-    rows = []
-    powers = [1]  # 2**0..2**n, shared by every row's two denominators
-    power = powers.__getitem__
-    cum_scaled = 0  # cumulative numerator at denominator 2**n
-    for n, c in enumerate(islice(_stream(spec.k, n_max), 1, None), 1):
-        powers.append(1 << n)
-        cum_scaled = 2 * cum_scaled + c
-        rows.append(PmfRow(n, c, _dyadic(c, n, power), _dyadic(cum_scaled, n, power)))
+    k = spec.k
+    stream = islice(_stream(k, n_max), 1, None)  # the cap is checked here
+    new, row, zero = object.__new__, tuple.__new__, Fraction(0)
+    rows = [row(PmfRow, (n, c, zero, zero)) for n, c in zip(range(1, k), stream)]
+    append = rows.append
+    powers = [1 << n for n in range(k)]  # 2**0..2**n, shared by every row's two denominators
+    cum = 0  # cumulative numerator at denominator 2**n
+    for n, c in enumerate(stream, k):
+        den = 1 << n
+        powers.append(den)
+        cum = 2 * cum + c
+        mass, total = new(Fraction), new(Fraction)
+        if c & 1:
+            mass._numerator, mass._denominator = c, den
+            total._numerator, total._denominator = cum, den
+        else:
+            low = c & _LOW or c
+            shift = (low & -low).bit_length() - 1
+            mass._numerator, mass._denominator = c >> shift, powers[n - shift]
+            low = cum & _LOW or cum
+            shift = (low & -low).bit_length() - 1
+            total._numerator, total._denominator = cum >> shift, powers[n - shift]
+        append(row(PmfRow, (n, c, mass, total)))
     return rows
 
 

@@ -21,14 +21,16 @@ is exact rational; comparisons between routes are exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .counts import (
     RunSpec, _exact, _integer, _jumps, _rational, _series_sum, build_count_table,
 )
-from .distribution import _dyadic
+from .distribution import _coprime, _dyadic
 from .errors import DomainError
 
 Rational = Fraction | int | str
+_HALF = Fraction(1, 2)
 
 
 def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
@@ -36,7 +38,7 @@ def denominator_core(spec: RunSpec, r: Rational) -> Fraction:
     r = a/b, D = b**(k+1) - 2a b**k + a**(k+1), gcd(D, b) = 1."""
     r = _rational(r, "r")
     a, b, k = r.numerator, r.denominator, spec.k
-    return Fraction(b ** (k + 1) - 2 * a * b**k + a ** (k + 1), b ** (k + 1))
+    return _coprime(b ** (k + 1) - 2 * a * b**k + a ** (k + 1), b ** (k + 1))
 
 
 def _point(spec: RunSpec, r: Rational) -> tuple[int, int, int]:
@@ -95,7 +97,7 @@ def expectation(spec: RunSpec) -> Fraction:
     other r use :func:`eval_y_prime` directly as an analytic function.
     The denominator at r = 1/2 is 2**-(k+1), never zero.
     """
-    return eval_y_prime(spec, Fraction(1, 2)) / 2
+    return eval_y_prime(spec, _HALF) / 2
 
 
 def expectation_closed_form(spec: RunSpec) -> Fraction:
@@ -115,7 +117,7 @@ def series_matches_closed_form(
     own order-(k+1) recurrence from it on, in O(log n_max) products.
     """
     r = _rational(r, "r")
-    if not 0 < r <= Fraction(1, 2):
+    if not 0 < r <= _HALF:
         raise DomainError(f"r must lie in (0, 1/2], got {_exact(r)}")
     _integer(n_max, "n_max", spec.k)
     # With r = a/b, acc is sum_i c(i) a**(i-k) b**(n_max-i): the partial
@@ -131,5 +133,10 @@ def series_matches_closed_form(
             power *= a
     t = b.bit_length() - 1  # a dyadic sum at b = 2**t needs no gcd
     acc *= a**spec.k
-    total = _dyadic(acc, t * n_max) if b == 1 << t else Fraction(acc, b**n_max)
+    if b == 1 << t:
+        total = _dyadic(acc, t * n_max)
+    elif gcd(acc, b) == 1:  # then acc is coprime to b**n_max too
+        total = _coprime(acc, b**n_max)
+    else:
+        total = Fraction(acc, b**n_max)
     return abs(total - eval_y(spec, r))

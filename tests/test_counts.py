@@ -11,6 +11,7 @@ from streakcalc.counts import (
     RunSpec,
     TABLE_CAP_ENV,
     _exact,
+    _rational,
     build_count_table,
     count_at,
     decimal_counts,
@@ -226,6 +227,17 @@ def test_exact_renders_every_digit(digits):
     assert _exact(n) == str(Decimal(n))
     assert _exact(-n) == str(Decimal(-n))
     assert _exact(Fraction(n, 3 * n + 1)) == f"{Decimal(n)}/{Decimal(3 * n + 1)}"
+
+
+def test_rational_returns_a_fraction_as_it_is():
+    class Half(Fraction):
+        pass
+
+    r = Fraction(2, 5)
+    assert _rational(r, "r") is r
+    got = _rational(Half(1, 2), "r")
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    assert _rational("2/4", "r") == Fraction(1, 2) == _rational(0.5, "r")
 
 
 def test_capacity_env_of_any_length(monkeypatch):

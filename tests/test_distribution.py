@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -105,22 +106,40 @@ def test_pmf_table_shares_its_powers_of_two(k):
     """The rows equal the constructor's fractions and their running sum,
     and one table holds each power of two once: as many denominator
     objects as denominator values, and an odd count is its own mass
-    numerator, not a copy."""
-    n_max = 3 * k + 200
-    c = build_count_table(RunSpec(k), n_max).values
-    rows = pmf_table(RunSpec(k), n_max)
-    running = Fraction(0)
-    for n, row in enumerate(rows, 1):
-        mass = Fraction(c[n], 2**n)
-        running += mass
-        assert (row.n, row.count, row.mass, row.cumulative) == (n, c[n], mass, running)
-        for x, want in ((row.mass, mass), (row.cumulative, running)):
-            assert type(x) is Fraction
-            assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
-        if row.count & 1:
-            assert row.mass.numerator is row.count
-    denominators = [x.denominator for row in rows for x in (row.mass, row.cumulative)]
-    assert len({id(d) for d in denominators}) == len(set(denominators))
+    numerator, not a copy.  Each row is a plain ``PmfRow`` of two ints
+    and two reduced Fractions, and survives pickle and copy as one."""
+    c = build_count_table(RunSpec(k), 3 * k + 200).values
+    for n_max in sorted({max(k - 1, 1), k, 3 * k + 200}):
+        rows = pmf_table(RunSpec(k), n_max)
+        assert len(rows) == n_max
+        running = Fraction(0)
+        for n, row in enumerate(rows, 1):
+            mass = Fraction(c[n], 2**n)
+            running += mass
+            for got in (row, pickle.loads(pickle.dumps(row)), copy.copy(row), copy.deepcopy(row)):
+                assert type(got) is PmfRow
+                assert tuple(map(type, got)) == (int, int, Fraction, Fraction)
+                assert tuple(got) == (n, c[n], mass, running)
+                for x, want in ((got.mass, mass), (got.cumulative, running)):
+                    assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+            if row.count & 1:
+                assert row.mass.numerator is row.count
+        denominators = [x.denominator for row in rows for x in (row.mass, row.cumulative)]
+        assert len({id(d) for d in denominators}) == len(set(denominators))
+
+
+def test_pmf_table_refused_before_any_allocation(monkeypatch):
+    """Under the default cap a horizon of 10**9 is refused before the
+    table allocates a list, let alone a row."""
+    monkeypatch.delenv(TABLE_CAP_ENV, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            pmf_table(RunSpec(3), 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def _no_table(*args):

@@ -1,10 +1,11 @@
 """Tests for the closed-form generating function and expectation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from streakcalc.counts import RunSpec, build_count_table
+from streakcalc.counts import RunSpec, _jumps, build_count_table
 from streakcalc.distribution import tail_mass
 from streakcalc.errors import DomainError
 from streakcalc.genfunc import (
@@ -184,6 +185,31 @@ def test_series_gap_equals_fraction_sum_off_the_fair_coin(r):
             assert series_matches_closed_form(spec, r, n_max) == abs(
                 partial - eval_y(spec, r)
             ), (k, r, n_max)
+
+
+@pytest.mark.parametrize(
+    "r", [Fraction(2, 5), Fraction(3, 10), Fraction(1, 3), Fraction(4, 9)], ids=str
+)
+def test_series_gap_reduces_as_the_constructor_on_both_branches(r):
+    """Off the dyadic points the partial sum S / b**n skips the gcd when
+    gcd(S, b) = 1.  The horizons 460..563 straddle the crossover at 512,
+    and each side must give both a coprime S and one sharing a factor
+    with b; every gap equals the one built with the constructor."""
+    a, b = r.numerator, r.denominator
+    for k in (2, 3):
+        spec = RunSpec(k)
+        y = r**k * (1 - r) / (1 - 2 * r + r ** (k + 1))
+        values = build_count_table(spec, 563).values
+        scaled = 0  # sum of c(i) a**i b**(n - i) for i <= n
+        hit = set()
+        for n in range(k, 564):
+            scaled = scaled * b + values[n] * a**n
+            if n >= 460:
+                hit.add((_jumps(k + 1, n), gcd(scaled, b) == 1))
+                got = series_matches_closed_form(spec, r, n)
+                want = abs(Fraction(scaled, b**n) - y)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hit == {(False, False), (False, True), (True, False), (True, True)}, (k, hit)
 
 
 def test_series_gap_below_quarter_point():
