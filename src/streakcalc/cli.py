@@ -18,8 +18,8 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -103,9 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class OutputEnvelope:
-    """Machine-readable result wrapper.
+class OutputEnvelope(
+    namedtuple("OutputEnvelope", "command parameters rows notes", defaults=((),))
+):
+    """Machine-readable result wrapper.  An immutable named tuple.
 
     ``parameters`` echoes every input affecting the result, including
     seeds and truncation bounds, so identical invocations are
@@ -113,10 +114,7 @@ class OutputEnvelope:
     any iterable of dicts; an iterator is written once, row by row.
     """
 
-    command: str
-    parameters: dict
-    rows: Iterable
-    notes: list = field(default_factory=list)
+    __slots__ = ()
 
     def write_json(self, put) -> None:
         """Hand ``put`` the pieces of ``json.dumps(payload, indent=2)``
@@ -227,9 +225,7 @@ def _emit(command, parameters, rows, fmt, notes=None) -> None:
     same and is raised again, as is a missing stdout, for ``main`` to
     end the command with ``EXIT_OUTPUT``.
     """
-    envelope = OutputEnvelope(
-        command=command, parameters=parameters, rows=rows, notes=notes or []
-    )
+    envelope = OutputEnvelope(command, parameters, rows, notes or ())
     out = sys.stdout
     if out is None:  # started with its stdout closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))

@@ -19,8 +19,8 @@ from __future__ import annotations
 import operator
 import os
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
     InvalidOperation, Overflow, Rounded,
@@ -52,9 +52,15 @@ _EXACT = Context(
 def parse_digits(parse, text: str):
     """``parse(text)``, with ``parse`` ``int`` or ``Fraction``, for digit
     strings of any length: their string conversion refuses more than
-    4300 digits in a row, and ``Decimal`` has no such limit.  Raises
-    ``ValueError`` or ``ArithmeticError`` for what ``parse`` rejects,
-    and ``ValueError`` for an exponent beyond ``10**6`` in magnitude."""
+    4300 digits in a row, and ``Decimal`` has no such limit.  The
+    grammar is CPython 3.11's on every interpreter: ``_`` may join two
+    digits, which 3.10's ``Fraction`` refuses, and no space may touch
+    ``/``, which 3.12's accepts.  Raises ``ValueError`` or
+    ``ArithmeticError`` for what ``parse`` rejects, and ``ValueError``
+    for an exponent beyond ``10**6`` in magnitude."""
+    if re.search(r"\s/|/\s", text):
+        raise ValueError(f"invalid literal: {text!r}")
+    text = re.sub(r"(?<=\d)_(?=\d)", "", text)
     # parse forms 10**|exponent| whole: 11 s for an exponent of -10**7
     exponent = re.search(r"[eE][-+]?([\d_]+)", text)
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
@@ -137,28 +143,27 @@ def table_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated run length: how many consecutive heads end the experiment."""
+class RunSpec(namedtuple("RunSpec", "k")):
+    """Validated run length: how many consecutive heads end the
+    experiment.  An immutable named tuple."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _integer(self.k, "run length", 1)
-        if self.k > K_MAX:
-            raise DomainError(f"run length must be <= {K_MAX}, got {_exact(self.k)}")
+    def __new__(cls, k):
+        _integer(k, "run length", 1)
+        if k > K_MAX:
+            raise DomainError(f"run length must be <= {K_MAX}, got {_exact(k)}")
+        return tuple.__new__(cls, (k,))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Immutable table of first-completion counts, indexed 0..n_max.
-
-    ``values[n]`` is the exact number of length-``n`` sequences whose
-    first k-run ends at trial ``n``.  Safe to share across threads.
-    """
-
-    k: int
-    values: tuple[int, ...]
+CountTable = namedtuple("CountTable", "k values")
+CountTable.__doc__ = """Table of first-completion counts, indexed 0..n_max: ``values[n]``
+is the exact number of length-``n`` sequences whose first k-run ends
+at trial ``n``.  An immutable named tuple, safe to share across threads."""
 
 
 def _check_table(n_max: int) -> None:

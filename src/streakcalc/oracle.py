@@ -134,28 +134,40 @@ def _price(a: int, b: int, k: int) -> tuple[int, int] | None:
     or None where bit lengths show p^-k > 2^64: b/a > 2^(len b - len a - 1).
 
     For a > 1 neither is an integer (E's numerator over a^k is b^k mod
-    a), so each ceiling is its floor + 1; for a = 1 both are integers.  A
-    long b/a is read to 128, 256, ... fractional bits: the floors formed
-    from the quotient and from the quotient + 1 bracket the true ones,
-    which they are where they agree.  Once the bits reach the length of
-    b, the exact powers cost no more, and they decide.
+    a), so each ceiling is its floor + 1; for a = 1 both are integers.
+    y = b/a is read to 128, 256, ... fractional bits, and y^k and E are
+    formed in as many, rounded down from the quotient and up from the
+    quotient + 1: the floors at the two bounds bracket the true ones,
+    which they are where they agree.  Each takes O(log k) products, so a
+    crafted p, whose p^-k lies within 2^-len(b) above an integer, is
+    decided near len(b) bits without forming exact k-th powers; from
+    4 len(b) bits on, the exact powers decide.
     """
     if k * (b.bit_length() - a.bit_length() - 1) >= 64:
         return None
 
-    def floors(x: int, d: int) -> tuple[int, int]:  # of y^k and y + ... + y^k, y = x/d
-        xk, dk = x**k, d**k
-        return xk // dk, (x * (xk - dk) // (x - d) if x > d else k * dk) // dk
+    def floors(x: int, mask: int) -> tuple[int, int]:
+        # of y^k and y + ... + y^k at y = x/2^shift, by doubling the run of
+        # powers, each product rounded down (mask 0) or up (mask 2^shift - 1)
+        xk = total = x
+        for bit in bin(k)[3:]:
+            total += (xk * total + mask) >> shift
+            xk = (xk * xk + mask) >> shift
+            if bit == "1":
+                xk = (xk * x + mask) >> shift
+                total += xk
+        return xk >> shift, total >> shift
 
     shift = 128
-    while shift < b.bit_length():
+    while shift < 4 * b.bit_length():
         x, rest = divmod(b << shift, a)
-        low = floors(x, 1 << shift)
-        if low == floors(x + (rest > 0), 1 << shift):
+        low = floors(x, 0)
+        if low == floors(x + (rest > 0), (1 << shift) - 1):
             break
         shift *= 2
     else:
-        low = floors(b, a)
+        bk, ak = b**k, a**k
+        low = bk // ak, b * (bk - ak) // ((b - a) * ak)
     return low[0] + (a > 1), low[1] + (a > 1)
 
 

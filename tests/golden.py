@@ -24,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,9 @@ GOLDEN_OUTPUT = [
      "d9f19a3cf2cb85488c73db60dc0978bdcec405467cdcf7ea8a441fac8a4e649a"),
     ("verify --k-max 13 --format csv",
      "5402bfbb6e572b2a03f92abfa7fa9c0ee5a7e78135d70a56af6196d9ae9cdf1e"),
+    # "_" joins digits on every interpreter, as in CPython 3.11's Fraction
+    ("simulate --k 2 --p 1_0/30 --trials 4 --seed 1",
+     "97502e4b04ef1afd6dd64d200dfa9a2ff84271336ab32a1144ef7416fd0edb64"),
     # table-sized dumps: 21 MB of JSON and 22 MB of CSV
     ("counts --k 2 --n-max 14000",
      "a7ff740ce32d6dc80e88809d04d66b67478ca4d13b9356d286348525487b4c46"),
@@ -112,6 +116,12 @@ GOLDEN_ERRORS = [
      "usage: streakcalc simulate [-h] --k K [--p P] [--trials TRIALS] [--seed SEED]\n"
      "                           [--max-steps MAX_STEPS] [--format {json,csv}]\n"
      "streakcalc simulate: error: argument --p: not a rational number: 'zebra'\n"),
+    # no space may touch "/" on any interpreter, as in CPython 3.11's Fraction
+    *((f"simulate --k 2 --p '{p}' --trials 4 --seed 1", 2,
+       "usage: streakcalc simulate [-h] --k K [--p P] [--trials TRIALS] [--seed SEED]\n"
+       "                           [--max-steps MAX_STEPS] [--format {json,csv}]\n"
+       f"streakcalc simulate: error: argument --p: not a rational number: '{p}'\n")
+      for p in ("1/ 2", "1 /2", "1 / 2")),
     ("simulate --k 3 --trials 10 --max-steps 2", 2,
      "streakcalc: max_steps_per_trial must be >= k, got 2\n"),
     ("verify --k-max 0", 2, "streakcalc: --k-max must be >= 1, got 0\n"),
@@ -134,13 +144,14 @@ GOLDEN_DEMOS = [
 
 
 def run_cli(argv: str):
-    """Exit code, stdout and stderr of ``streakcalc argv``, in-process;
-    the caller sets ``COLUMNS`` to 80 and clears the table cap."""
+    """Exit code, stdout and stderr of ``streakcalc argv``, in-process,
+    with ``argv`` split as a POSIX shell splits it; the caller sets
+    ``COLUMNS`` to 80 and clears the table cap."""
     from streakcalc.cli import main  # run as a script, src is on the path by now
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv.split())
+        code = main(shlex.split(argv))
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,5 +1,6 @@
 """Tests for the exact count tables."""
 
+import pickle
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -35,6 +36,34 @@ def test_run_spec_validation():
     with pytest.raises(DomainError):
         RunSpec("2")
 
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "run length must be >= 1, got 0"),
+    (K_MAX + 1, f"run length must be <= {K_MAX}, got {K_MAX + 1}"),
+    (True, "run length must be an integer, got True"),
+    ("2", "run length must be an integer, got '2'"),
+])
+def test_run_spec_refuses_on_every_route_in(k, message):
+    """The constructor, _replace, _make and unpickling all validate, with
+    one message; the record is a named tuple with the dataclass's repr."""
+    spec = RunSpec(3)
+    assert repr(spec) == "RunSpec(k=3)"
+    assert spec == (3,) and hash(spec) == hash((3,))
+    assert not hasattr(spec, "__dict__")
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    data = pickle.dumps(spec, protocol=2)  # no frames, so a field can change length
+    assert data.count(b"K\x03") == 1  # BININT1 3, the one field
+    forged = data.replace(b"K\x03", pickle.dumps(k, protocol=2)[2:-1])
+    for build in (
+        lambda: RunSpec(k),
+        lambda: spec._replace(k=k),
+        lambda: RunSpec._make([k]),
+        lambda: pickle.loads(forged),
+    ):
+        with pytest.raises(DomainError) as refused:
+            build()
+        assert str(refused.value) == message
 
 def test_table_boundary_examples():
     assert build_count_table(RunSpec(3), 3).values[3] == 1
@@ -177,7 +206,9 @@ LONG_VALUE = 7 * (10**5000 - 1) // 9
     [
         (int, "1e3"), (int, "1.0"), (int, "inf"), (int, "1__0"), (int, "1 0"),
         (int, LONG + "e3"), (int, LONG + ".0"), (int, LONG + " 0"), (int, "x" + LONG),
-        (Fraction, "1/ 2"), (Fraction, "1e3/2"), (Fraction, "nan"), (Fraction, "1/0"),
+        (Fraction, "1/ 2"), (Fraction, "1 /2"), (Fraction, "1 / 2"), (Fraction, "1\t/2"),
+        (Fraction, "1_/2"), (Fraction, "1/_2"), (Fraction, "1__0/3"), (Fraction, "1_.5"),
+        (Fraction, "1e3/2"), (Fraction, "nan"), (Fraction, "1/0"),
         (Fraction, "1/" + "0" * 5000), (Fraction, LONG + "/ 3"), (Fraction, LONG + "//3"),
         (Fraction, "1e-" + LONG), (Fraction, "1/" + LONG + ".5"),
     ],
@@ -195,6 +226,10 @@ def test_parse_digits_reads_any_length():
     assert parse_digits(int, " +" + LONG + " ") == LONG_VALUE
     assert parse_digits(int, "-1_0") == -10
     assert parse_digits(Fraction, "3/6") == Fraction(1, 2)
+    # 3.11's grammar on every interpreter: "_" joins digits in every part
+    assert parse_digits(Fraction, "1_0/3_0") == Fraction(1, 3)
+    assert parse_digits(Fraction, " -1_2.5_0e1_0 ") == -125 * 10**9
+    assert parse_digits(Fraction, LONG + "_7/1_0") == Fraction(LONG_VALUE * 10 + 7, 10)
     assert parse_digits(Fraction, "1/1" + "0" * 5000) == Fraction(1, 10**5000)
     assert parse_digits(Fraction, "-" + LONG + "/" + LONG) == -1
     assert parse_digits(Fraction, LONG + "." + LONG + "e-10") == Fraction(

@@ -303,7 +303,7 @@ def _lowest(a, b):
 
 def test_price_matches_the_exact_powers():
     """(ceil(p^-k), ceil(E)) from leading bits equals the exact integers:
-    small p, random p of 8 to 2000 bits and p = 1 - 10^-d."""
+    small p, random p of 8 to 2000 bits, p = 1 - 10^-d and crafted p."""
     ps = [(a, b) for b in range(2, 60) for a in range(1, b) if math.gcd(a, b) == 1]
     rng = random.Random(28)
     for _ in range(200):
@@ -311,6 +311,10 @@ def test_price_matches_the_exact_powers():
         ps.append(_lowest(rng.randrange(1, b), b))
         ps.append(_lowest(b - rng.getrandbits(b.bit_length() // 2) - 1, b))
     ps += [(10**d - 1, 10**d) for d in (30, 300, 3000)]
+    # crafted: p^-2 within about 2^-len(b) above 2, and p^-1 + p^-2 above 10
+    for a in (10**30 + 1, 10**300 + 1):
+        ps += [_lowest(a, math.isqrt(2 * a * a) + 1),
+               _lowest(a, (math.isqrt(41 * a * a) - a) // 2 + 1)]
     for a, b in ps:
         for k in PRICE_KS:
             assert oracle._price(a, b, k) == _price_by_powers(a, b, k), (a, b, k)
@@ -339,6 +343,35 @@ def test_price_just_above_an_integer():
     assert oracle._price(a, b, 64) == _price_by_powers(a, b, 64)
     assert oracle._price(a, b, 64)[0] == 3
 
+
+
+def test_price_of_a_crafted_p_in_bounded_time():
+    """p^-64 within about 2^-len(b) above an integer is decided from
+    about len(b) bits of 1/p.  Forming exact 64th powers took 0.11-0.14 s
+    at a = 10^3000 + 1, b = floor((2 a^64)^(1/64)) + 1, and 5.4 s at
+    a = 10^30000 + 1, b = floor(sqrt(2) a) + 1, where p^-64 lies just
+    above 2^32 and E just above (2^32 - 1)(2 + sqrt(2))."""
+    a = 10**3000 + 1
+    root = 2 * a**64
+    for _ in range(6):
+        root = math.isqrt(root)  # floor((2 a^64)^(1/64))
+    a, b = _lowest(a, root + 1)
+    start = time.perf_counter()
+    price = oracle._price(a, b, 64)
+    assert time.perf_counter() - start < 0.05
+    assert price == _price_by_powers(a, b, 64) == (3, 93)
+
+    a = 10**30000 + 1
+    a, b = _lowest(a, math.isqrt(2 * a * a) + 1)
+    m = 2**32 - 1
+    start = time.perf_counter()
+    config = SimConfig(k=64, success_prob=Fraction(a, b), trials=2**20, seed=0)
+    with pytest.raises(CapacityError, match=r"about 2\^54 coin flips"):
+        oracle.check_budget([config])
+    price = oracle._price(a, b, 64)
+    assert time.perf_counter() - start < 1
+    assert price == (2**32 + 1, 2 * m + math.isqrt(2 * m * m) + 1)
+    assert config.max_steps_per_trial == 1000 * price[0]
 
 @pytest.mark.parametrize(
     "p", [HALF, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(999, 1000)]

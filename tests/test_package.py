@@ -1,6 +1,7 @@
 """The package surface: what importing it loads, and the names the demos use."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -137,3 +138,27 @@ def test_oracle_imports_no_other_route():
     assert {n for m, n in imported if m == "counts"} == {
         "RunSpec", "_exact", "_integer", "_rational"
     }, imported
+
+
+def test_only_the_oracle_imports_dataclasses():
+    """Records are named tuples; ``SimReport`` is the one dataclass left."""
+    importers = set()
+    for path in sorted((ROOT / "src" / "streakcalc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
+
+
+@pytest.mark.parametrize("record", ["counts.RunSpec", "counts.CountTable", "cli.OutputEnvelope"])
+def test_records_are_named_tuples(record):
+    module, name = record.split(".")
+    cls = getattr(importlib.import_module(f"streakcalc.{module}"), name)
+    assert not dataclasses.is_dataclass(cls)
+    assert issubclass(cls, tuple) and cls._fields

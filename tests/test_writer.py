@@ -7,7 +7,6 @@ envelope, which these tests check on generated envelopes.
 """
 
 import csv
-import dataclasses
 import io
 import json
 from decimal import Decimal
@@ -71,7 +70,7 @@ def with_decimal_cells(env: OutputEnvelope) -> OutputEnvelope:
         {key: Decimal(value) if type(value) is int else value for key, value in row.items()}
         for row in env.rows
     ]
-    return dataclasses.replace(env, rows=rows)
+    return env._replace(rows=rows)
 
 
 # csv quotes a record made of one empty field, so that it is not a blank line
@@ -91,8 +90,8 @@ def test_writer_matches_json_and_csv_modules(env):
     assert with_decimal_cells(env).to_json() == env.to_json()
     assert with_decimal_cells(env).to_csv() == env.to_csv()
     # rows that arrive from an iterator are written the same
-    assert dataclasses.replace(env, rows=iter(env.rows)).to_json() == env.to_json()
-    assert dataclasses.replace(env, rows=iter(env.rows)).to_csv() == env.to_csv()
+    assert env._replace(rows=iter(env.rows)).to_json() == env.to_json()
+    assert env._replace(rows=iter(env.rows)).to_csv() == env.to_csv()
 
 
 def test_csv_edge_cases_spelled_out():
